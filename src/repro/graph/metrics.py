@@ -9,10 +9,11 @@
   of dissemination and partitioning risk.
 
 Path lengths use a frontier-based BFS over the CSR arrays (optionally
-accelerated by :mod:`scipy.sparse.csgraph` when available); clustering uses
-cached neighbor sets.  Both accept a sampling parameter: estimates are
-unbiased and the experiment harness uses them at full paper scale, while
-tests cross-check the exact paths against networkx.
+accelerated by :mod:`scipy.sparse.csgraph` when available); clustering marks
+a node's neighbors and counts the marks in their gathered CSR rows.  Both
+accept a sampling parameter: estimates are unbiased and the experiment
+harness uses them at full paper scale, while tests cross-check the exact
+paths against networkx.
 """
 
 from __future__ import annotations
@@ -57,6 +58,22 @@ def degree_histogram(snapshot: GraphSnapshot) -> Dict[int, int]:
 # -- clustering ----------------------------------------------------------------
 
 
+def _local_clustering(
+    snapshot: GraphSnapshot, index: int, mark: np.ndarray
+) -> float:
+    """:func:`local_clustering` over a caller-owned all-``False`` mark
+    array of length ``n`` (returned all-``False`` again)."""
+    neighbors = snapshot.neighbors(index)
+    k = len(neighbors)
+    if k < 2:
+        return 0.0
+    mark[neighbors] = True
+    links = int(np.count_nonzero(mark[snapshot.gather_neighbors(neighbors)]))
+    mark[neighbors] = False
+    # Each edge among neighbors was counted twice.
+    return links / (k * (k - 1))
+
+
 def local_clustering(snapshot: GraphSnapshot, index: int) -> float:
     """Clustering coefficient of one node.
 
@@ -64,17 +81,9 @@ def local_clustering(snapshot: GraphSnapshot, index: int) -> float:
     of possible edges between them; 0.0 for degree < 2 (the convention
     networkx uses as well).
     """
-    neighbor_sets = snapshot.neighbor_sets()
-    neighbors = snapshot.neighbors(index)
-    k = len(neighbors)
-    if k < 2:
-        return 0.0
-    mine = neighbor_sets[index]
-    links = 0
-    for j in neighbors:
-        links += len(neighbor_sets[j] & mine)
-    # Each edge among neighbors was counted twice.
-    return links / (k * (k - 1))
+    return _local_clustering(
+        snapshot, index, np.zeros(snapshot.n, dtype=bool)
+    )
 
 
 def clustering_coefficient(
@@ -102,10 +111,11 @@ def clustering_coefficient(
         nodes = rng.sample(range(n), sample)
     else:
         nodes = range(n)
+    mark = np.zeros(n, dtype=bool)
     total = 0.0
     count = 0
     for index in nodes:
-        total += local_clustering(snapshot, index)
+        total += _local_clustering(snapshot, index, mark)
         count += 1
     return total / count if count else 0.0
 
@@ -115,27 +125,20 @@ def clustering_coefficient(
 
 def bfs_distances(snapshot: GraphSnapshot, source: int) -> np.ndarray:
     """Hop distances from ``source`` to every node (-1 when unreachable)."""
-    n = snapshot.n
-    indptr = snapshot.indptr
-    indices = snapshot.indices
-    dist = np.full(n, -1, dtype=np.int64)
+    dist = np.full(snapshot.n, -1, dtype=np.int64)
     dist[source] = 0
     frontier = np.array([source], dtype=np.int64)
     depth = 0
     while frontier.size:
         depth += 1
-        if frontier.size == 1:
-            v = frontier[0]
-            candidates = indices[indptr[v] : indptr[v + 1]]
-        else:
-            candidates = np.concatenate(
-                [indices[indptr[v] : indptr[v + 1]] for v in frontier]
-            )
+        candidates = snapshot.gather_neighbors(frontier)
         candidates = candidates[dist[candidates] < 0]
         if candidates.size == 0:
             break
-        frontier = np.unique(candidates)
-        dist[frontier] = depth
+        # Duplicate candidates write the same depth; reading the level
+        # back deduplicates them without np.unique's hash pass.
+        dist[candidates] = depth
+        frontier = np.flatnonzero(dist == depth)
     return dist
 
 

@@ -12,7 +12,7 @@ separately via :meth:`~repro.simulation.base.BaseEngine.dead_link_count`).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +24,34 @@ def _descriptor_address(entry: object) -> Address:
     return getattr(entry, "address", entry)
 
 
+def view_edge_arrays(
+    views: Mapping[Address, Iterable[object]]
+) -> Tuple[List[Address], np.ndarray, np.ndarray]:
+    """``(addresses, src, dst)`` of a ``{address: view entries}`` mapping.
+
+    The object-walking form of an engine's ``edge_arrays()``: addresses
+    in key order, one ``src -> dst`` index pair per entry whose target is
+    itself a key (dead links are dropped).  Entries may be
+    :class:`~repro.core.descriptor.NodeDescriptor` objects or raw
+    addresses.
+    """
+    addresses = list(views)
+    index = {address: i for i, address in enumerate(addresses)}
+    src: List[int] = []
+    dst: List[int] = []
+    for i, entries in enumerate(views.values()):
+        for entry in entries:
+            j = index.get(_descriptor_address(entry))
+            if j is not None and j != i:
+                src.append(i)
+                dst.append(j)
+    return (
+        addresses,
+        np.asarray(src, dtype=np.int64),
+        np.asarray(dst, dtype=np.int64),
+    )
+
+
 class GraphSnapshot:
     """An immutable undirected graph over a fixed set of addresses.
 
@@ -32,7 +60,7 @@ class GraphSnapshot:
     consumers such as the metric functions.
     """
 
-    __slots__ = ("addresses", "_index", "indptr", "indices", "_neighbor_sets")
+    __slots__ = ("addresses", "_index", "indptr", "indices")
 
     def __init__(
         self,
@@ -46,7 +74,6 @@ class GraphSnapshot:
         }
         self.indptr = indptr
         self.indices = indices
-        self._neighbor_sets: Optional[List[Set[int]]] = None
 
     # -- constructors -----------------------------------------------------
 
@@ -64,11 +91,16 @@ class GraphSnapshot:
             return cls(addresses, np.zeros(n + 1, dtype=np.int64),
                        np.empty(0, dtype=np.int64))
         keep = src != dst
-        src = src[keep]
-        dst = dst[keep]
-        all_src = np.concatenate([src, dst]).astype(np.int64)
-        all_dst = np.concatenate([dst, src]).astype(np.int64)
-        keys = np.unique(all_src * n + all_dst)
+        src = src[keep].astype(np.int64, copy=False)
+        dst = dst[keep].astype(np.int64, copy=False)
+        # Both orientations of every edge as one sortable key each; an
+        # in-place sort plus adjacent-difference mask deduplicates them
+        # (np.unique takes a much slower hash path from NumPy 2.3 on).
+        keys = np.concatenate([src * n + dst, dst * n + src])
+        keys.sort()
+        first = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
         u = keys // n
         v = keys % n
         counts = np.bincount(u, minlength=n)
@@ -86,27 +118,16 @@ class GraphSnapshot:
         objects or raw addresses.  Descriptors whose target is not a key of
         ``views`` (dead links) are ignored.
         """
-        addresses = list(views)
-        index = {address: i for i, address in enumerate(addresses)}
-        src: List[int] = []
-        dst: List[int] = []
-        for address, entries in views.items():
-            i = index[address]
-            for entry in entries:
-                j = index.get(_descriptor_address(entry))
-                if j is not None and j != i:
-                    src.append(i)
-                    dst.append(j)
-        return cls.from_edge_arrays(
-            addresses,
-            np.asarray(src, dtype=np.int64),
-            np.asarray(dst, dtype=np.int64),
-        )
+        return cls.from_edge_arrays(*view_edge_arrays(views))
 
     @classmethod
     def from_engine(cls, engine: object) -> "GraphSnapshot":
-        """Build from a simulation engine's current views."""
-        return cls.from_views(engine.views())  # type: ignore[attr-defined]
+        """Build from a simulation engine's current views, through its
+        array-level ``edge_arrays()`` (no descriptor objects on the
+        flat-array engines)."""
+        return cls.from_edge_arrays(
+            *engine.edge_arrays()  # type: ignore[attr-defined]
+        )
 
     @classmethod
     def from_adjacency(
@@ -187,13 +208,19 @@ class GraphSnapshot:
         pos = np.searchsorted(row, j)
         return bool(pos < len(row) and row[pos] == j)
 
-    def neighbor_sets(self) -> List[Set[int]]:
-        """Per-node neighbor index sets (built once, then cached)."""
-        if self._neighbor_sets is None:
-            self._neighbor_sets = [
-                set(self.neighbors(i).tolist()) for i in range(self.n)
-            ]
-        return self._neighbor_sets
+    def gather_neighbors(self, nodes: np.ndarray) -> np.ndarray:
+        """The concatenated neighbor rows of ``nodes``, in order.
+
+        One vectorized CSR gather; what the clustering count and the BFS
+        frontier expansion both reduce to.
+        """
+        starts = self.indptr[nodes]
+        lengths = self.indptr[nodes + 1] - starts
+        ends = np.cumsum(lengths)
+        # Output position k lies in the run of one row; shifting by the
+        # row's start minus the run's start turns k into a CSR offset.
+        shift = np.repeat(starts - (ends - lengths), lengths)
+        return self.indices[shift + np.arange(shift.size)]
 
     # -- derived graphs ---------------------------------------------------------
 

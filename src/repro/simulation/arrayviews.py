@@ -646,7 +646,9 @@ class FlatArrayEngine(BaseEngine):
         """A snapshot of every node's current view entries.
 
         Same key order (node insertion) and entry order (increasing hop
-        count) as the reference engine's ``views()``.
+        count) as the reference engine's ``views()``.  The small-N /
+        debug API: it builds one ``NodeDescriptor`` per entry, which the
+        array-level read interface below never does.
         """
         c = self.config.view_size
         addr_of = self._addr_of
@@ -664,21 +666,85 @@ class FlatArrayEngine(BaseEngine):
             ]
         return result
 
-    def dead_link_count(self) -> int:
-        """Total descriptors across all views pointing at dead addresses."""
+    # -- array-level read interface ------------------------------------------
+    #
+    # Measurements read the flat storage through transient zero-copy
+    # numpy views.  A live view pins its array('q') -- the next growth
+    # would raise BufferError -- so none may outlive the method that
+    # made it: everything returned below is a copy.
+
+    _buffer = staticmethod(memoryview)
+    """How a storage vector exports its memory (``array`` speaks the
+    buffer protocol itself; the sharded engine's vectors do not)."""
+
+    def _flat(self, vector, dtype: str = "int64"):
+        """A transient zero-copy numpy view of one storage vector."""
+        import numpy as np
+
+        return np.frombuffer(
+            self._buffer(vector), dtype=dtype, count=len(vector)
+        )
+
+    def _live_rows(self):
+        """``(live ids, their view rows, their fill levels)`` in
+        :meth:`views` key order -- all copies."""
+        import numpy as np
+
+        live = np.fromiter(self._live, dtype=np.int64, count=len(self._live))
+        rows = self._flat(self._row_of)[live]
+        return live, rows, self._flat(self._vlen)[rows]
+
+    def _live_entries(self):
+        """``(live ids, fill levels, flattened entry ids)`` in
+        :meth:`views` key and entry order -- all copies."""
+        import numpy as np
+
+        live, rows, sizes = self._live_rows()
         c = self.config.view_size
-        alive = self._alive
+        filled = np.arange(c) < sizes[:, None]
+        return live, sizes, self._flat(self._vids).reshape(-1, c)[rows][filled]
+
+    def edge_arrays(self):
+        """See :meth:`BaseEngine.edge_arrays`; a pure array reduction."""
+        import numpy as np
+
+        live, sizes, entries = self._live_entries()
+        position = np.full(len(self._addr_of), -1, dtype=np.int64)
+        position[live] = np.arange(live.size)
+        src = np.repeat(np.arange(live.size), sizes)
+        dst = position[entries]
+        alive = dst >= 0
+        return self.addresses(), src[alive], dst[alive]
+
+    def view_rows(self):
+        """See :meth:`BaseEngine.view_rows`; no descriptor objects."""
+        c = self.config.view_size
+        addr_of = self._addr_of
         vids = self._vids
+        vhops = self._vhops
         row_of = self._row_of
         vlen = self._vlen
-        count = 0
+        address_of = addr_of.__getitem__
         for node_id in self._live:
             row = row_of[node_id]
             base = row * c
-            for k in range(base, base + vlen[row]):
-                if not alive[vids[k]]:
-                    count += 1
-        return count
+            end = base + vlen[row]
+            yield (
+                addr_of[node_id],
+                list(map(address_of, vids[base:end])),
+                vhops[base:end],
+            )
+
+    def dead_link_count(self) -> int:
+        """Total descriptors across all views pointing at dead addresses."""
+        _, _, entries = self._live_entries()
+        alive = self._flat(self._alive, "uint8")[entries]
+        return int(entries.size) - int(alive.sum(dtype="int64"))
+
+    def view_sizes(self) -> List[int]:
+        """Every node's view fill level, in :meth:`views` key order."""
+        _, _, sizes = self._live_rows()
+        return sizes.tolist()
 
     # -- the shared merge/truncate pipeline ---------------------------------
 

@@ -9,7 +9,18 @@ lookup) -- while subclasses provide the execution model.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.config import ProtocolConfig
 from repro.core.descriptor import Address, NodeDescriptor
@@ -18,8 +29,27 @@ from repro.core.protocol import GossipNode
 from repro.core.service import PeerSamplingService
 from repro.simulation.trace import Observer
 
+if TYPE_CHECKING:  # pragma: no cover - numpy stays a call-time import
+    import numpy as np
+
 NodeFactory = Callable[[Address, random.Random], GossipNode]
 """Signature of custom node factories: ``(address, rng) -> node``."""
+
+ViewRow = Tuple[Address, List[Address], Sequence[int]]
+"""One view as ``(address, peer addresses, hop counts)``."""
+
+
+def rows_of_views(
+    views: Mapping[Address, Iterable[NodeDescriptor]]
+) -> Iterator[ViewRow]:
+    """The :data:`ViewRow` form of a ``views()`` mapping, in its key and
+    entry order (the object-walking form of an engine's ``view_rows()``)."""
+    for address, entries in views.items():
+        yield (
+            address,
+            [descriptor.address for descriptor in entries],
+            [descriptor.hop_count for descriptor in entries],
+        )
 
 
 class BaseEngine:
@@ -195,10 +225,43 @@ class BaseEngine:
     # -- introspection ------------------------------------------------------------
 
     def views(self) -> Dict[Address, Sequence[NodeDescriptor]]:
-        """A snapshot of every node's current view entries."""
+        """A snapshot of every node's current view entries.
+
+        The small-N / debug API: it hands out descriptor *objects*.
+        Measurements go through the array-level read interface below
+        (:meth:`edge_arrays`, :meth:`view_rows`, :meth:`dead_link_count`,
+        :meth:`view_sizes`), which the flat-array engines answer without
+        materializing any.
+        """
         return {
             address: node.view.entries for address, node in self._nodes.items()
         }
+
+    def edge_arrays(
+        self,
+    ) -> "Tuple[List[Address], np.ndarray, np.ndarray]":
+        """The overlay as ``(addresses, src, dst)`` index arrays.
+
+        ``addresses`` are the live nodes in :meth:`views` key order;
+        ``src[k] -> dst[k]`` is one view entry, as positions into
+        ``addresses``, with entries pointing at dead nodes already
+        dropped -- exactly what
+        :meth:`~repro.graph.snapshot.GraphSnapshot.from_edge_arrays`
+        takes.
+        """
+        from repro.graph.snapshot import view_edge_arrays
+
+        return view_edge_arrays(self.views())
+
+    def view_rows(self) -> Iterator[ViewRow]:
+        """Every view as ``(address, peer addresses, hop counts)``, in
+        :meth:`views` key and entry order -- the rows the canonical
+        overlay digest hashes."""
+        return rows_of_views(self.views())
+
+    def view_sizes(self) -> List[int]:
+        """Every node's view fill level, in :meth:`views` key order."""
+        return [len(node.view) for node in self._nodes.values()]
 
     def dead_link_count(self) -> int:
         """Total descriptors across all views pointing at dead addresses.

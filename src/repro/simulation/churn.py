@@ -154,7 +154,7 @@ class TemporaryPartition(Observer):
 
 def dead_link_fraction(engine: BaseEngine) -> float:
     """Fraction of all view entries that point at dead nodes."""
-    total = sum(len(node.view) for node in engine.nodes())
+    total = sum(engine.view_sizes())
     if total == 0:
         return 0.0
     return engine.dead_link_count() / total

@@ -262,6 +262,11 @@ class ShmVector:
     def buffer_info(self) -> Tuple[int, int]:
         return (self._addr, self._len)
 
+    def memview(self) -> memoryview:
+        """The live elements as a typed memoryview (zero-copy; release
+        it before the next growth, like any export of an ``array``)."""
+        return self._mv[:self._len]
+
     def append(self, value: int) -> None:
         if self._len >= self.capacity():
             self._grow(self._len + 1)
@@ -772,6 +777,7 @@ class ShardedCycleEngine(FlatArrayEngine):
             self._vlen = ShmVector("q")
             self._row_of = ShmVector("q")
             self._alive = ShmVector("B")
+            self._buffer = ShmVector.memview
         self._conns: List = []
         self._procs: List = []
         self._worker_finalizer = None

@@ -165,7 +165,7 @@ class ViewSizeRecorder(Observer):
     def after_cycle(self, engine: "CycleEngine") -> None:
         if engine.cycle % self.every != 0:
             return
-        sizes = [len(node.view) for node in engine.nodes()]
+        sizes = engine.view_sizes()
         if not sizes:
             return
         self.cycles.append(engine.cycle)

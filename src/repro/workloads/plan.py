@@ -38,6 +38,7 @@ the ``timeout`` budget expiring -- cancel the remaining cells and raise
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
 import json
@@ -302,14 +303,12 @@ def _measure_indegree_concentration(
     def extract() -> Dict[str, Any]:
         handle = getattr(runtime, "adversary", None)
         attackers = set(handle.attackers) if handle is not None else set()
-        indegree: Dict[Any, int] = {}
-        total = 0
-        for entries in runtime.engine.views().values():
-            for descriptor in entries:
-                total += 1
-                indegree[descriptor.address] = (
-                    indegree.get(descriptor.address, 0) + 1
-                )
+        # Dead targets count too (an attacker may have crashed), so this
+        # tallies the rows rather than edge_arrays(), which drops them.
+        indegree = collections.Counter()
+        for _, peers, _ in runtime.engine.view_rows():
+            indegree.update(peers)
+        total = sum(indegree.values())
         attacker_links = sum(indegree.get(a, 0) for a in attackers)
         return {
             "total_links": total,
@@ -724,16 +723,22 @@ class RunRecord:
     measurements: Dict[str, Any]
     elapsed_seconds: float
     """Wall-clock seconds the cell took *where it ran* (in the worker
-    process under parallel execution).  The only record field excluded
+    process under parallel execution).  Excluded, with :attr:`timings`,
     from the serial/parallel identity contract -- see
     :meth:`canonical_dict`."""
+    timings: Dict[str, float]
+    """:attr:`elapsed_seconds` split by phase: ``prepare_s`` (engine,
+    bootstrap, measurement set-up), ``run_s`` (the cycles, per-cycle
+    observers included), ``digest_s`` (:attr:`views_digest`) and
+    ``extract_s`` (the post-run measurement extractors)."""
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready mapping."""
         return dataclasses.asdict(self)
 
     def canonical_dict(self) -> Dict[str, Any]:
-        """The record without :attr:`elapsed_seconds`.
+        """The record without its wall-clock fields
+        (:attr:`elapsed_seconds`, :attr:`timings`).
 
         This is the byte-identity contract of plan execution: two runs of
         the same plan -- serial, parallel, any worker count -- must
@@ -742,6 +747,7 @@ class RunRecord:
         """
         payload = self.to_dict()
         del payload["elapsed_seconds"]
+        del payload["timings"]
         return payload
 
 
@@ -945,7 +951,13 @@ def execute_cell(cell: PlanCell) -> RunRecord:
         name: MEASUREMENTS[name].setup(runtime, scale)
         for name in cell.measurements
     }
+    prepared = time.perf_counter()
     runtime.run_to_end()
+    ran = time.perf_counter()
+    digest = runtime.views_digest()
+    digested = time.perf_counter()
+    measurements = {name: extract() for name, extract in extractors.items()}
+    finished = time.perf_counter()
     return RunRecord(
         scenario=spec.name,
         protocol=protocol_label,
@@ -957,11 +969,15 @@ def execute_cell(cell: PlanCell) -> RunRecord:
         final_nodes=len(runtime.engine),
         completed_exchanges=runtime.engine.completed_exchanges,
         failed_exchanges=runtime.engine.failed_exchanges,
-        views_digest=runtime.views_digest(),
-        measurements={
-            name: extract() for name, extract in extractors.items()
+        views_digest=digest,
+        measurements=measurements,
+        elapsed_seconds=finished - started,
+        timings={
+            "prepare_s": prepared - started,
+            "run_s": ran - prepared,
+            "digest_s": digested - ran,
+            "extract_s": finished - digested,
         },
-        elapsed_seconds=time.perf_counter() - started,
     )
 
 

@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 from repro.core.config import ProtocolConfig
-from repro.core.descriptor import Address, NodeDescriptor
+from repro.core.descriptor import Address
 from repro.core.errors import ConfigurationError
 from repro.simulation import churn as churn_mod
-from repro.simulation.base import BaseEngine
+from repro.simulation.base import BaseEngine, rows_of_views
 from repro.simulation.scenarios import (
     GrowingScenario,
     lattice_bootstrap,
@@ -141,24 +141,30 @@ def warm_shared_caches(engine_names: Sequence[Optional[str]]) -> None:
 def views_digest(source: Any) -> str:
     """A canonical SHA-256 digest of an overlay's complete view state.
 
-    ``source`` is an engine (anything with ``views()``) or a views
-    mapping.  The digest covers node insertion order, every descriptor's
-    address and hop count, and entry order within each view -- two runs
-    are byte-identical if and only if their digests match.  This is what
-    the cross-engine spec-execution tests pin.
+    ``source`` is an engine or a ``views()`` mapping.  The digest covers
+    node insertion order, every descriptor's address and hop count, and
+    entry order within each view -- two runs are byte-identical if and
+    only if their digests match.  This is what the cross-engine
+    spec-execution tests pin.  An engine is hashed from its
+    ``view_rows()`` (no descriptor objects on the flat-array engines),
+    one ``%``-format per row either way.
     """
-    views: Dict[Address, Sequence[NodeDescriptor]] = (
-        source.views() if hasattr(source, "views") else source
+    rows = (
+        rows_of_views(source)
+        if isinstance(source, Mapping)
+        else source.view_rows()
     )
+    formats: Dict[int, str] = {}
     h = hashlib.sha256()
-    for address, entries in views.items():
-        h.update(repr(address).encode())
-        h.update(b":")
-        for descriptor in entries:
-            h.update(
-                f"{descriptor.address!r},{descriptor.hop_count};".encode()
-            )
-        h.update(b"\n")
+    for address, peers, hops in rows:
+        n = len(peers)
+        row_format = formats.get(n)
+        if row_format is None:
+            row_format = formats[n] = "%r:" + "%r,%s;" * n + "\n"
+        fields = [address] * (2 * n + 1)
+        fields[1::2] = peers
+        fields[2::2] = hops
+        h.update((row_format % tuple(fields)).encode())
     return h.hexdigest()
 
 

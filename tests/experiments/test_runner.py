@@ -310,6 +310,7 @@ class TestRunSpec:
             records = json.loads(payload_path.read_text())["records"]
             for record in records:
                 del record["elapsed_seconds"]
+                del record["timings"]
             return records
 
         assert canonical(serial_out) == canonical(parallel_out)

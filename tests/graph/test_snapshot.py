@@ -101,13 +101,15 @@ class TestAccessors:
         with pytest.raises(KeyError):
             self.snapshot.index_of("z")
 
-    def test_neighbor_sets_cached(self):
-        first = self.snapshot.neighbor_sets()
-        assert first is self.snapshot.neighbor_sets()
-        assert first[self.snapshot.index_of("a")] == {
-            self.snapshot.index_of("b"),
-            self.snapshot.index_of("c"),
-        }
+    def test_gather_neighbors_concatenates_rows_in_order(self):
+        index_of = self.snapshot.index_of
+        nodes = np.array([index_of("c"), index_of("a")], dtype=np.int64)
+        expected = np.concatenate(
+            [self.snapshot.neighbors(i) for i in nodes]
+        )
+        gathered = self.snapshot.gather_neighbors(nodes)
+        assert np.array_equal(gathered, expected)
+        assert self.snapshot.gather_neighbors(nodes[:0]).size == 0
 
     def test_repr(self):
         assert "n=4" in repr(self.snapshot)
@@ -181,7 +183,9 @@ def test_snapshot_invariants(adjacency):
     # Degree sum equals twice the edge count.
     assert int(snapshot.degrees().sum()) == 2 * snapshot.edge_count
     # CSR symmetry: j in N(i) <=> i in N(j); no self loops.
-    sets = snapshot.neighbor_sets()
+    sets = [
+        set(snapshot.neighbors(i).tolist()) for i in range(snapshot.n)
+    ]
     for i, neighbors in enumerate(sets):
         assert i not in neighbors
         for j in neighbors:
