@@ -17,8 +17,9 @@ the honest protocol code:
   (seeded fraction or explicit targets) and the per-engine installers:
   node wrapping on :class:`~repro.simulation.engine.CycleEngine`,
   :class:`~repro.simulation.event_engine.EventEngine` and
-  :class:`~repro.net.engine.LiveEngine`, draw-for-draw adversarial
-  loops on :class:`~repro.simulation.fast.FastCycleEngine` and
+  :class:`~repro.net.engine.LiveEngine`, one hook policy
+  (:class:`~repro.adversary.harness.IndexedAdversary`) on the exchange
+  steps of :class:`~repro.simulation.fast.FastCycleEngine` and
   :class:`~repro.simulation.fast_event.FastEventEngine`, and a
   wire-level :class:`~repro.adversary.harness.NetworkInterceptor` for
   the loopback transport.
@@ -41,8 +42,7 @@ from repro.adversary.harness import (
     ADVERSARY_ENGINE_NAMES,
     AdversaryHandle,
     AttackWindow,
-    FastAdversary,
-    FastEventAdversary,
+    IndexedAdversary,
     NetworkInterceptor,
     install_adversary,
     intercept_network,
@@ -55,8 +55,7 @@ __all__ = [
     "AdversaryHandle",
     "AdversaryState",
     "AttackWindow",
-    "FastAdversary",
-    "FastEventAdversary",
+    "IndexedAdversary",
     "NetworkInterceptor",
     "install_adversary",
     "intercept_network",

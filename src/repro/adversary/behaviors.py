@@ -31,8 +31,10 @@ RNG discipline (the cross-engine byte-identity contract): every wrapper
 method first lets the honest ``inner`` node run -- consuming exactly the
 draws an honest node would -- and only then substitutes payloads.  The
 single *extra* draw an attacker makes (the eclipse victim retarget) is
-taken from the shared engine RNG at a fixed point, mirrored draw-for-draw
-by :class:`~repro.adversary.harness.FastAdversary`.
+taken from the shared engine RNG at a fixed point;
+:class:`~repro.adversary.harness.IndexedAdversary` implements the same
+three interception points as hooks on the flat-array kernel's steps
+(``tests/simulation/test_kernel_steps.py`` pins the two step by step).
 """
 
 from __future__ import annotations
@@ -50,9 +52,10 @@ __all__ = ["AdversarialNode", "AdversaryState"]
 class AdversaryState:
     """Shared per-run attack state: who, what, and whether it is on.
 
-    One instance is shared by every attacker wrapper (and the fast-engine
-    loop) of a run; :class:`~repro.adversary.harness.AttackWindow` flips
-    :attr:`active` on the spec's ``start_cycle``/``stop_cycle`` window.
+    One instance is shared by every attacker wrapper (or the flat
+    engines' hook policy) of a run;
+    :class:`~repro.adversary.harness.AttackWindow` flips :attr:`active`
+    on the spec's ``start_cycle``/``stop_cycle`` window.
     """
 
     __slots__ = (
@@ -166,7 +169,7 @@ class AdversarialNode:
             )
         # hub / eclipse: poisoned request; eclipse additionally retargets
         # the exchange at a live victim (one extra shared-RNG draw, only
-        # when a live victim exists -- FastAdversary mirrors this).
+        # when a live victim exists -- IndexedAdversary.retarget too).
         peer = exchange.peer
         if kind == "eclipse":
             is_alive = state.is_alive

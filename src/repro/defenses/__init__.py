@@ -10,7 +10,7 @@ hardened protocols build on:
   checks (self/duplicate rejection, hop-count bounds, forged-freshness
   capping) applied between hop increment and merge.  Reused by the
   generic node via ``ProtocolConfig(validate_descriptors=True)`` and by
-  the flat-array engines' inlined loops.
+  the flat-array kernel's ``receive`` step.
 - :mod:`repro.defenses.sampling` -- min-wise independent samplers
   (Brahms, Bortnikov et al. 2009): keyed-hash minima over the stream of
   observed addresses converge to a uniform sample of node history that

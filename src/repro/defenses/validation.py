@@ -21,7 +21,7 @@ across engines, because sanitisation itself draws nothing.
 Both variants apply the same rules in the same order and must stay in
 lockstep -- the object form serves :class:`~repro.core.protocol.GossipNode`
 (cycle / event / live engines), the indexed form serves the flat-array
-engines' inlined Python loops.
+kernel's one ``receive`` step.
 """
 
 from __future__ import annotations

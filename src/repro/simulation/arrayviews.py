@@ -1,13 +1,20 @@
-"""Flat-array protocol kernel: the view storage and exchange primitives
-shared by every array-backed engine.
+"""Flat-array protocol kernel: the view storage and the Figure-1 exchange
+steps shared by every array-backed engine.
 
 The paper's Figure 1 describes one gossip participant as a partial view
 plus two threads.  :class:`FlatArrayEngine` implements that participant --
 for an entire population at once -- as index arithmetic over preallocated
-``array('q')`` buffers, so that both the synchronous cycle executor
-(:class:`~repro.simulation.fast.FastCycleEngine`) and the asynchronous
-event executor (:class:`~repro.simulation.fast_event.FastEventEngine`)
-drive the *same* kernel and cannot drift apart.
+``array('q')`` buffers, and states the exchange **once**, as three steps:
+:meth:`~FlatArrayEngine.select`, :meth:`~FlatArrayEngine.payload` and
+:meth:`~FlatArrayEngine.receive`.  The executors only *schedule* them:
+:class:`~repro.simulation.fast.FastCycleEngine` in a shuffled cycle,
+:class:`~repro.simulation.fast_event.FastEventEngine` from its event
+heap, :class:`~repro.simulation.sharded.ShardedCycleEngine` in BSP
+phases with keyed draws.  An attack is a set of hooks on the same steps
+(:class:`~repro.adversary.harness.IndexedAdversary`), consulted only
+while its window is open; :meth:`FlatArrayEngine._backend` is the one
+rule that decides whether a cycle runs these Python steps or the C core
+(whose loops mirror them, pinned by the differential suites).
 
 Mapping back to Figure 1 of the paper
 -------------------------------------
@@ -21,27 +28,33 @@ Figure 1 step                   kernel primitive
                                 ``_vlen[row]`` the fill level; rows are
                                 compacted in increasing hop-count order,
                                 exactly the invariant ``PartialView`` keeps
-``selectPeer()``                policy dispatch over one row (``rand`` = one
-                                ``_randbelow`` draw, ``head``/``tail`` = the
-                                first/last compacted slot), restricted to live
-                                ids when the engine is omniscient -- see
-                                ``FastCycleEngine._run_cycle_python`` and
-                                ``FastEventEngine`` for the two call sites
+``view.increaseAge()``          the first half of :meth:`FlatArrayEngine.select`:
+                                in-place increment of one row's ``_vhops``
+                                slice at the start of the active thread (the
+                                TOCS-2007 formalization of local aging; see
+                                ``GossipNode.age_view``)
+``selectPeer()``                the second half of :meth:`FlatArrayEngine.select`:
+                                the one ``head``/``rand``/``tail`` dispatch over
+                                a row (``rand`` = one draw from the injected
+                                ``draw(n)``), restricted to live ids when the
+                                engine is omniscient; the *retarget* hook
+``send merge(view,{(me,0)})``   :meth:`FlatArrayEngine.payload`, for the pushed
+                                request and the pulled reply alike; the
+                                *rewrite* hook sees it before it leaves
 ``increaseHopCount(view_p)``    receiver-side ``+1`` applied when a payload is
                                 built (the increment is deterministic, so the
                                 kernel pre-applies it: payload hop ``h`` is
                                 stored as ``h + 1``)
-``view.increaseAge()``          in-place increment of one row's ``_vhops``
-                                slice at the start of the active thread (the
-                                TOCS-2007 formalization of local aging; see
-                                ``GossipNode.age_view``)
+``receive view_p``              :meth:`FlatArrayEngine.receive`: the *drop* hook,
+                                descriptor validation (``;v``), then the merge
 ``merge(view_p, view)``         :meth:`FlatArrayEngine._merge_into`: duplicate
                                 elimination keeping the lowest hop count with
                                 received-first tie order, in index space
 ``selectView(...)``             the tail of :meth:`FlatArrayEngine._merge_into`:
                                 healer/swapper pre-truncation followed by the
                                 ``head``/``rand``/``tail`` truncation, drawing
-                                from the engine RNG exactly as the reference
+                                from the engine RNG (or the injected keyed
+                                ``sample``) exactly as the reference
                                 ``ViewSelection.select`` does
 ``init(contacts)``              :meth:`FlatArrayEngine.add_node` /
                                 :meth:`FlatArrayEngine.bootstrap_random_views`
@@ -77,6 +90,7 @@ from __future__ import annotations
 
 import random
 from array import array
+from itertools import compress
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.core.config import ProtocolConfig
@@ -86,14 +100,17 @@ from repro.core.errors import (
     NodeNotFoundError,
     ViewError,
 )
-from repro.core.policies import ViewSelection
+from repro.core.policies import PeerSelection, ViewSelection
 from repro.core.view import merge
+from repro.defenses.validation import sanitize_indexed
 from repro.simulation._fastcore import Accelerator, load_accelerator
 from repro.simulation.base import BaseEngine
 
 __all__ = ["FlatArrayEngine", "FastNode", "FastViewProxy"]
 
 _POLICY_CODE = {"rand": 0, "head": 1, "tail": 2}
+_RAND = PeerSelection.RAND  # enum member lookups are slow on the hot path
+_HEAD = PeerSelection.HEAD
 
 
 class FastViewProxy:
@@ -310,14 +327,16 @@ class FastNode:
 
 
 class FlatArrayEngine(BaseEngine):
-    """Population storage and exchange primitives over flat arrays.
+    """Population storage and the exchange steps over flat arrays.
 
     Subclasses provide the execution model --
     :class:`~repro.simulation.fast.FastCycleEngine` runs the PeerSim-style
     synchronous cycle loop, :class:`~repro.simulation.fast_event.FastEventEngine`
     an asynchronous discrete-event loop -- while this base owns everything
     they share: interning, view rows, churn bookkeeping, bulk bootstrap,
-    the merge/truncate pipeline and the optional C accelerator handle.
+    the exchange steps (select / payload / receive, merge/truncate
+    included), the backend-selection rule and the optional C accelerator
+    handle.
 
     Implements the full :class:`~repro.simulation.base.BaseEngine`
     population API (``add_node`` / ``remove_node`` / ``crash_random_nodes``
@@ -409,6 +428,45 @@ class FlatArrayEngine(BaseEngine):
     def accelerated(self) -> bool:
         """Whether the compiled C core is in use."""
         return self._accel is not None
+
+    adversary = None
+    """An installed :class:`~repro.adversary.harness.IndexedAdversary`
+    (the attack hooks of the exchange steps below), or ``None``.  It only
+    matters while its window is open -- see :meth:`_backend`."""
+
+    def _backend(self):
+        """The backend-selection rule, as ``(hooks, accel, native)``.
+
+        Evaluated at every cycle boundary from observable state, so
+        observers may open an attack window, install ``reachable`` or
+        swap a model mid-run and the very next cycle honours it:
+
+        - attack window open: the Python steps with ``hooks``;
+        - else the C core (``accel``), unless the protocol validates
+          descriptors or the RNG is not a plain MT19937 the core can
+          take over -- then the Python steps without hooks;
+        - ``native`` is not ``None`` when nothing needs Python *between*
+          steps (no ``reachable`` predicate, :meth:`_native_models`), so
+          the executor's whole-loop C entry point may run.
+        """
+        adversary = self.adversary
+        if adversary is not None and adversary.active:
+            return adversary, None, None
+        accel = self._accel
+        if (
+            accel is None
+            or self.config.validate_descriptors
+            or type(self.rng) is not random.Random
+        ):
+            return None, None, None
+        native = self._native_models() if self.reachable is None else None
+        return None, accel, native
+
+    def _native_models(self):
+        """What the whole-loop C path needs to know about per-message
+        models, or ``None`` when they take a Python call (the cycle
+        model has none)."""
+        return ()
 
     # -- id / storage management ------------------------------------------
 
@@ -745,6 +803,101 @@ class FlatArrayEngine(BaseEngine):
         """Every node's view fill level, in :meth:`views` key order."""
         _, _, sizes = self._live_rows()
         return sizes.tolist()
+
+    # -- the Figure-1 exchange steps -----------------------------------------
+    #
+    # Written once; every array-backed executor only decides *when* a
+    # step runs and which ``draw`` feeds it.  ``hooks`` is the active
+    # attack policy (see ``repro.adversary.harness.IndexedAdversary``)
+    # or ``None`` on an honest run, and is consulted for the ids in
+    # ``hooks.attackers`` only -- like the object engines, which wrap
+    # only attacker nodes.  The sharded workers borrow the steps onto
+    # their ``_ShmKernel`` shell, along with ``_merge_into``.
+
+    def select(self, node: int, draw, hooks=None) -> int:
+        """First half of the active thread: age the view, select a peer.
+
+        Returns the selected peer id, or ``-1`` when the view holds no
+        candidate.  ``draw(n)`` supplies the one ``rand`` selection draw
+        (``rng.randrange`` on the MT engines, the keyed counter draw on
+        the sharded one).  Under omniscient selection only live entries
+        are candidates; otherwise the peer may be dead and the executor
+        accounts for the lost message.  ``hooks.retarget`` runs after an
+        attacker's honest selection succeeded, like
+        ``AdversarialNode.begin_exchange``.
+        """
+        row = self._row_of[node]
+        ln = self._vlen[row]
+        if not ln:
+            return -1  # empty view: nothing to gossip with, nothing to age
+        config = self.config
+        base = row * config.view_size
+        end = base + ln
+        vhops = self._vhops
+        vhops[base:end] = array("q", [h + 1 for h in vhops[base:end]])
+        entries = None
+        if self.omniscient_peer_selection and self._maybe_dead_refs:
+            # Dead descriptors may exist: restrict selection to live
+            # entries, like the reference liveness predicate does.
+            entries = self._vids[base:end]
+            entries = list(
+                compress(entries, map(self._alive.__getitem__, entries))
+            )
+            ln = len(entries)
+            if not ln:
+                return -1
+        policy = config.peer_selection
+        if policy is _RAND:
+            k = draw(ln)
+        elif policy is _HEAD:
+            k = 0
+        else:
+            k = ln - 1
+        peer = self._vids[base + k] if entries is None else entries[k]
+        if hooks is not None and node in hooks.attackers:
+            peer = hooks.retarget(peer, draw)
+        return peer
+
+    def payload(self, sender: int, receiver: int, reply: bool, hooks=None):
+        """The buffer ``sender`` ships to ``receiver``, as ``(ids, hops)``.
+
+        ``merge(view, {(me, 0)})`` with the receiver-side
+        ``increaseHopCount`` pre-applied (own descriptor 0 -> 1), for a
+        pull reply or a pushed request; the empty buffer for a pull-only
+        request.  Both lists are fresh and owned by the receiver.
+        ``hooks.rewrite`` sees every attacker's buffer before it leaves.
+        """
+        if reply or self.config.push:
+            row = self._row_of[sender]
+            base = row * self.config.view_size
+            end = base + self._vlen[row]
+            ids = [sender] + self._vids[base:end].tolist()
+            hops = [1] + [h + 1 for h in self._vhops[base:end]]
+        else:
+            ids = []
+            hops = []
+        if hooks is not None and sender in hooks.attackers:
+            return hooks.rewrite(sender, receiver, ids, hops, reply)
+        return ids, hops
+
+    def receive(
+        self, node: int, sender: int, ids, hops, hooks=None, sample=None
+    ) -> None:
+        """``node`` takes delivery of a buffer: validate, then merge.
+
+        The passive thread's merge and the second half of the active
+        thread alike.  Under ``hooks.drops`` an attacker discards the
+        buffer unread; an empty buffer merges to a draw-free no-op on the
+        reference node, so it is skipped.
+        """
+        if hooks is not None and node in hooks.attackers and hooks.drops:
+            return
+        if self.config.validate_descriptors:
+            ids, hops = sanitize_indexed(
+                ids, hops, node, sender, self.config.view_size
+            )
+        if ids:
+            self._merge_into(node, ids, hops, sample)
 
     # -- the shared merge/truncate pipeline ---------------------------------
 

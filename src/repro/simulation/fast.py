@@ -7,12 +7,13 @@ but runs it over the shared flat-array protocol kernel
 (:class:`~repro.simulation.arrayviews.FlatArrayEngine`) instead of one
 ``GossipNode`` + ``PartialView`` + ``NodeDescriptor`` object per peer.
 The kernel owns the storage layout, the churn bookkeeping and the
-merge/truncate pipeline (see the :mod:`~repro.simulation.arrayviews`
+Figure-1 exchange steps (see the :mod:`~repro.simulation.arrayviews`
 module docstring for the layout and the Figure 1 mapping); this module
-adds only the synchronous execution model.  The asynchronous counterpart,
-:class:`~repro.simulation.fast_event.FastEventEngine`, drives the same
-kernel from a discrete-event scheduler -- the two engines share every
-exchange primitive and therefore cannot drift apart.
+adds only the synchronous execution model: activation order,
+reachability and the counters around those steps.  The asynchronous
+counterpart, :class:`~repro.simulation.fast_event.FastEventEngine`,
+schedules the same steps from a discrete-event heap -- neither engine
+contains a copy of the exchange, so they cannot drift apart.
 
 At 100,000 nodes with ``c = 30`` the whole overlay state is two ~24 MB C
 buffers instead of several million Python objects, and one exchange is
@@ -27,9 +28,15 @@ itself has two interchangeable implementations:
 - an optional C core (:mod:`repro.simulation._fastcore`), compiled once
   with the system C compiler, that runs entire cycles natively -- orders
   of magnitude faster than the reference engine;
-- a pure-Python fallback used when no compiler is available (or
-  ``REPRO_NO_ACCEL`` is set), still several times leaner than the
+- the kernel's Python steps, used when no compiler is available (or
+  ``REPRO_NO_ACCEL`` is set), under a ``reachable`` predicate or
+  descriptor validation, and -- with the attack hooks -- while an
+  adversary's window is open; still several times leaner than the
   object-per-node engine.
+
+The choice is the kernel's one rule
+(:meth:`~repro.simulation.arrayviews.FlatArrayEngine._backend`), made
+afresh every cycle.
 
 Determinism and RNG parity
 --------------------------
@@ -63,11 +70,8 @@ When to prefer which engine
 
 from __future__ import annotations
 
-import random
 from array import array
-from itertools import compress
 
-from repro.core.policies import PeerSelection
 from repro.simulation._fastcore import Accelerator
 from repro.simulation.arrayviews import (
     FastNode,
@@ -95,12 +99,6 @@ class FastCycleEngine(FlatArrayEngine):
     shuffle_each_cycle: bool = True
     """Same contract as ``CycleEngine.shuffle_each_cycle``."""
 
-    adversary = None
-    """An installed :class:`~repro.adversary.harness.FastAdversary`, or
-    ``None``.  While its attack window is active it supplies the cycle
-    loop (pure Python, RNG-parity with the adversarial object engines);
-    outside the window the honest C/Python paths run unchanged."""
-
     # -- execution ---------------------------------------------------------
 
     def run_cycle(self) -> None:
@@ -110,18 +108,11 @@ class FastCycleEngine(FlatArrayEngine):
         module docstring for the RNG-parity argument.
         """
         self._notify_before_cycle()
-        adversary = self.adversary
-        if adversary is not None and adversary.active:
-            adversary.run_cycle(self)
-        elif (
-            self._accel is not None
-            and self.reachable is None
-            and not self.config.validate_descriptors
-            and type(self.rng) is random.Random
-        ):
-            self._run_cycle_c(self._accel)
+        hooks, accel, native = self._backend()
+        if native is not None:
+            self._run_cycle_c(accel)
         else:
-            self._run_cycle_python()
+            self._run_cycle_python(hooks)
         self.cycle += 1
         self._notify_after_cycle()
 
@@ -154,32 +145,24 @@ class FastCycleEngine(FlatArrayEngine):
         self.completed_exchanges += out[0]
         self.failed_exchanges += out[1]
 
-    def _run_cycle_python(self) -> None:
-        """One cycle through the pure-Python fallback path."""
+    def _run_cycle_python(self, hooks) -> None:
+        """One cycle of kernel steps: this method only schedules them.
+
+        Activation order, the lost-message accounting and the counters
+        live here; what an exchange *does* is
+        :meth:`~repro.simulation.arrayviews.FlatArrayEngine.select` /
+        ``payload`` / ``receive``, with ``hooks`` the active attack
+        policy (``None`` when honest).
+        """
         rng = self.rng
-        config = self.config
-        c = config.view_size
-        vids = self._vids
-        vhops = self._vhops
-        vlen = self._vlen
-        row_of = self._row_of
+        draw = rng.randrange
         alive = self._alive
         addr_of = self._addr_of
-        push = config.push
-        pull = config.pull
-        peer_sel = config.peer_selection
-        ps_rand = peer_sel is PeerSelection.RAND
-        ps_head = peer_sel is PeerSelection.HEAD
-        filter_dead = self.omniscient_peer_selection and self._maybe_dead_refs
-        check_dead = not self.omniscient_peer_selection
         reachable = self.reachable
-        randrange = rng.randrange
-        merge_into = self._merge_into
-        validating = config.validate_descriptors
-        if validating:
-            from repro.defenses.validation import sanitize_indexed
-        inc = (1).__add__  # C-level h + 1 for map()
-        alive_at = alive.__getitem__
+        pull = self.config.pull
+        select = self.select
+        payload = self.payload
+        receive = self.receive
         completed = 0
         failed = 0
 
@@ -189,84 +172,26 @@ class FastCycleEngine(FlatArrayEngine):
         for i in order:
             if not alive[i]:
                 continue  # crashed by an observer mid-cycle
-            row = row_of[i]
-            base = row * c
-            ln = vlen[row]
-            end = base + ln
-            if not ln:
-                continue  # empty view: nothing to gossip with
-            # active thread, first half: age view, select peer.
-            aged = array("q", map(inc, vhops[base:end]))
-            vhops[base:end] = aged
-            if filter_dead:
-                # Dead descriptors may exist: restrict selection to live
-                # entries, like the reference liveness predicate does.
-                vslice = vids[base:end]
-                cand = list(compress(vslice, map(alive_at, vslice)))
-                if not cand:
-                    continue
-                if ps_rand:
-                    p = cand[randrange(len(cand))]
-                elif ps_head:
-                    p = cand[0]
-                else:
-                    p = cand[-1]
-            else:
-                # Either every view entry is provably alive (same choice,
-                # same single draw) or selection is non-omniscient.
-                if ps_rand:
-                    p = vids[base + randrange(ln)]
-                elif ps_head:
-                    p = vids[base]
-                else:
-                    p = vids[end - 1]
-                if check_dead and not alive[p]:
-                    # Message to a dead address: silently lost.
-                    failed += 1
-                    continue
-            if reachable is not None and not reachable(
-                addr_of[i], addr_of[p]
+            p = select(i, draw, hooks)
+            if p < 0:
+                continue
+            if not alive[p] or (
+                reachable is not None
+                and not reachable(addr_of[i], addr_of[p])
             ):
+                # Message to a dead (non-omniscient selection) or
+                # unreachable address: silently lost.
                 failed += 1
                 continue
-            # request payload = merge(view, {(me, 0)}) with the receiver's
-            # increaseHopCount already applied (own descriptor 0 -> 1).
-            if push:
-                rq_ids = [i]
-                rq_ids += vids[base:end]
-                rq_hops = [1]
-                rq_hops += map(inc, aged)
-            else:
-                rq_ids = []
-                rq_hops = []
+            rq_ids, rq_hops = payload(i, p, False, hooks)
             if pull:
                 # passive thread: the reply snapshot precedes the merge.
-                prow = row_of[p]
-                pbase = prow * c
-                pend = pbase + vlen[prow]
-                rp_ids = [p]
-                rp_ids += vids[pbase:pend]
-                rp_hops = [1]
-                rp_hops += map(inc, vhops[pbase:pend])
-                if validating:
-                    rq_ids, rq_hops = sanitize_indexed(
-                        rq_ids, rq_hops, p, i, c
-                    )
-                    rp_ids, rp_hops = sanitize_indexed(
-                        rp_ids, rp_hops, i, p, c
-                    )
-                if rq_ids:
-                    merge_into(p, rq_ids, rq_hops)
+                rp_ids, rp_hops = payload(p, i, True, hooks)
+                receive(p, i, rq_ids, rq_hops, hooks)
                 # active thread, second half: merge the pulled view.
-                if rp_ids:
-                    merge_into(i, rp_ids, rp_hops)
+                receive(i, p, rp_ids, rp_hops, hooks)
             else:
-                if validating:
-                    rq_ids, rq_hops = sanitize_indexed(
-                        rq_ids, rq_hops, p, i, c
-                    )
-                if rq_ids:
-                    merge_into(p, rq_ids, rq_hops)
+                receive(p, i, rq_ids, rq_hops, hooks)
             completed += 1
         self.completed_exchanges += completed
         self.failed_exchanges += failed

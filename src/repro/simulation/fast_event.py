@@ -46,14 +46,30 @@ protocols, latency/loss models and churn.
 Execution backends
 ------------------
 
-Like the fast cycle engine, the hot path has two interchangeable
-implementations: a pure-Python loop over the kernel primitives, and an
-accelerated path that calls the compiled C core once per protocol step
-(``fc_event_begin`` / ``fc_event_deliver``) with the Mersenne Twister
-state *resident* in C for the duration of a scheduling slice --
-engine-level draws (loss, latency, churn at cycle boundaries) go through
-a bit-exact C-backed ``random.Random`` facade, so the logical RNG stream
-stays seamless.  Both backends produce byte-identical results.
+There is one Python dispatch loop (:meth:`FastEventEngine._run_events`:
+the heap, reachability, loss, latency, message slots, counters) and the
+protocol steps it dispatches to come from one of two small backends:
+
+- :class:`_KernelSteps` -- the kernel's Python ``select`` / ``payload``
+  / ``receive`` steps, with the attack hooks when a window is open;
+- :class:`_CoreSteps` -- one C call per protocol step
+  (``fc_event_begin`` / ``fc_event_deliver``) with the Mersenne Twister
+  state *resident* in C between cycle boundaries; the loop's own draws
+  (loss, latency) go through a bit-exact C-backed ``random.Random``
+  facade, so the logical RNG stream stays seamless.  This is what keeps
+  partition/heal specs and custom latency/loss models fast.
+
+A third executor bypasses the Python loop altogether: with the built-in
+models and no ``reachable`` predicate, ``fc_event_run`` runs the whole
+dispatch loop (heap included) natively and returns to Python only at
+cycle boundaries (:meth:`FastEventEngine._run_events_c_full`).
+
+Which one runs is decided by the kernel's single rule
+(:meth:`~repro.simulation.arrayviews.FlatArrayEngine._backend`) and
+re-decided at every cycle boundary, where all three hand every piece of
+state back -- so an observer may open an attack window, install a
+partition or swap a model mid-run.  All three produce byte-identical
+results.
 
 Differences from the cycle engines
 ----------------------------------
@@ -74,13 +90,11 @@ from __future__ import annotations
 import random
 from array import array
 from heapq import heapify, heappop, heappush
-from itertools import compress
 from typing import Optional
 
 from repro.core.config import ProtocolConfig
 from repro.core.descriptor import Address
 from repro.core.errors import ConfigurationError, SimulationError
-from repro.core.policies import PeerSelection
 from repro.simulation._fastcore import Accelerator
 from repro.simulation.arrayviews import FlatArrayEngine
 from repro.simulation.base import NodeFactory
@@ -149,6 +163,130 @@ class _AcceleratorRandom(random.Random):
         return result | (rand_bits(k) << shift)
 
 
+class _KernelSteps:
+    """Dispatch-loop backend: the protocol steps as Python kernel calls.
+
+    Speaks the calling convention of the C entry points it stands in for
+    (``fc_event_begin`` / ``fc_event_deliver``): payloads travel through
+    message slots, the selected peer comes back in ``out[0]``.  ``hooks``
+    is the active attack policy, or ``None``.
+    """
+
+    out_ptr = None
+
+    def __init__(self, engine: "FastEventEngine", hooks) -> None:
+        rng = self.rng = engine.rng
+        self.rand = rng.random
+        self.new_slot = engine._new_slot
+        draw = rng.randrange
+        select = engine.select
+        payload = engine.payload
+        receive = engine.receive
+        stride = engine._slot_stride
+        m_ids = engine._m_ids
+        m_hops = engine._m_hops
+        m_len = engine._m_len
+        m_src = engine._m_src
+        out = engine._c_out
+
+        def store(slot: int, ids, hops) -> None:
+            n = m_len[slot] = len(ids)
+            if n:
+                off = slot * stride
+                m_ids[off:off + n] = array("q", ids)
+                m_hops[off:off + n] = array("q", hops)
+
+        def begin(node: int, slot: int, _out) -> None:
+            peer = out[0] = select(node, draw, hooks)
+            if peer >= 0:
+                ids, hops = payload(node, peer, False, hooks)
+                store(slot, ids, hops)
+
+        def deliver(node: int, slot: int, reply_slot: int, _out) -> None:
+            sender = m_src[slot]
+            if reply_slot >= 0:
+                ids, hops = payload(node, sender, True, hooks)
+                store(reply_slot, ids, hops)
+            off = slot * stride
+            end = off + m_len[slot]
+            receive(
+                node,
+                sender,
+                m_ids[off:end].tolist(),
+                m_hops[off:end].tolist(),
+                hooks,
+            )
+
+        self.begin = begin
+        self.deliver = deliver
+
+    def enter(self) -> None:
+        """Nothing to hand over: the steps draw from the engine RNG."""
+
+    leave = enter
+
+
+class _CoreSteps:
+    """Dispatch-loop backend: one C call per protocol step.
+
+    ``fc_event_begin`` per timer, ``fc_event_deliver`` per delivery.
+    Between :meth:`enter` and :meth:`leave` the Mersenne Twister state is
+    resident in C; the loop's loss/latency draws go through the
+    :class:`_AcceleratorRandom` facade against that resident state.
+    """
+
+    def __init__(self, engine: "FastEventEngine", accel: Accelerator) -> None:
+        self._engine = engine
+        self._accel = accel
+        self._resident = False
+        self.rng = engine._c_rng
+        self.rand = accel.rand_double
+        self.begin = accel.event_begin
+        self.deliver = accel.event_deliver
+        self.out_ptr = Accelerator.pointer(engine._c_out.buffer_info()[0])
+        self._state_ptr = Accelerator.pointer(
+            engine._rstate.buffer_info()[0]
+        )
+
+    def _register(self) -> None:
+        # ``_ptr_dirty`` covers *all* engine buffers (view arrays
+        # included, per the kernel's contract), so clearing it requires
+        # re-issuing both registrations.
+        engine = self._engine
+        engine._accel_setup(self._accel)
+        engine._event_setup(self._accel)
+        engine._ptr_dirty = False
+
+    def new_slot(self) -> int:
+        """Take a never-used slot, re-registering the buffers if anything
+        grew -- pool growth is the usual trigger, but a callback that
+        interned an address mid-slice must not leave the C core holding
+        stale view pointers either."""
+        slot = self._engine._new_slot()
+        if self._engine._ptr_dirty:
+            self._register()
+        return slot
+
+    def enter(self) -> None:
+        """Register the buffers (observers may have grown them or driven
+        another accelerated engine) and move the MT state into C."""
+        engine = self._engine
+        self._register()
+        self._version, internal, self._gauss = engine.rng.getstate()
+        engine._rstate[:] = array("q", internal)
+        self._accel.load_state(self._state_ptr)
+        self._resident = True
+
+    def leave(self) -> None:
+        """Hand the MT state back to the Python ``Random`` (idempotent)."""
+        if self._resident:
+            self._resident = False
+            self._accel.store_state(self._state_ptr)
+            self._engine.rng.setstate(
+                (self._version, tuple(self._engine._rstate), self._gauss)
+            )
+
+
 class FastEventEngine(FlatArrayEngine):
     """Asynchronous timer-and-message executor over flat array storage.
 
@@ -199,13 +337,6 @@ class FastEventEngine(FlatArrayEngine):
     shuffle_each_cycle: bool = False
     """No per-cycle permutation exists in the asynchronous model; node
     interleaving emerges from the timer phases."""
-
-    adversary = None
-    """An installed :class:`~repro.adversary.harness.FastEventAdversary`,
-    or ``None``.  While installed it supplies the event-dispatch loop
-    (pure Python, RNG-parity with ``EventEngine`` + wrapped nodes) for
-    the whole run -- the attack window may open at any cycle boundary,
-    so the honest C slice cannot be trusted across boundaries."""
 
     def __init__(
         self,
@@ -341,22 +472,6 @@ class FastEventEngine(FlatArrayEngine):
         self._m_hops.frombytes(self._zero_slot * slots)
         self._ptr_dirty = True
 
-    def _new_slot_c(self, accel: Accelerator) -> int:
-        """Take a slot, re-registering the buffers if anything grew.
-
-        ``_ptr_dirty`` covers *all* engine buffers (view arrays included,
-        per the kernel's contract), so clearing it requires re-issuing
-        both registrations -- pool growth is the usual trigger here, but
-        a callback that interned an address mid-slice must not leave the
-        C core holding stale view pointers.
-        """
-        slot = self._new_slot()
-        if self._ptr_dirty:
-            self._accel_setup(accel)
-            self._event_setup(accel)
-            self._ptr_dirty = False
-        return slot
-
     def _event_setup(self, accel: Accelerator) -> None:
         """Register the message pool buffers with the C core."""
         pointer = Accelerator.pointer
@@ -400,36 +515,19 @@ class FastEventEngine(FlatArrayEngine):
         sched = self._sched
         end = sched.now_tick + int(duration_ticks)
         while True:
-            # Skip the dispatch machinery (and, on the whole-slice C
-            # path, a full heap migration round-trip) when no pending
-            # event can fire within this slice.
             next_tick = sched.peek_tick()
-            if next_tick is None or next_tick > end:
-                pass
-            elif (adversary := self.adversary) is not None:
-                adversary.run_events(self, end)
-            elif (accel := self._accel) is not None and not (
-                self.config.validate_descriptors
-            ) and type(
-                self.rng
-            ) is random.Random:
-                codes = self._c_model_codes()
-                if codes is not None and self.reachable is None:
+            if next_tick is not None and next_tick <= end:
+                # Both loops return when the slice is done *or* a cycle
+                # boundary changed the backend selection; re-peek.
+                selection = self._backend()
+                _, accel, codes = selection
+                if codes is not None:
                     # built-in models, no reachability predicate: the
-                    # whole dispatch loop (heap included) runs natively
-                    # in C.  The slice bails out early if a boundary
-                    # observer installs a predicate or swaps in a custom
-                    # model mid-run...
-                    finished = self._run_events_c_full(accel, end, codes)
-                    if not finished:
-                        # ...and the per-step path finishes the slice.
-                        self._run_events_c(accel, end)
+                    # whole dispatch loop (heap included) runs natively.
+                    self._run_events_c_full(accel, end, codes)
                 else:
-                    # custom models / reachability callbacks need Python
-                    # between protocol steps: one C call per step.
-                    self._run_events_c(accel, end)
-            else:
-                self._run_events_python(end)
+                    self._run_events(end, selection)
+                continue
             # No events left at or before `end`.  Trailing boundaries are
             # fired one at a time, re-entering the dispatch loop after
             # each: observers may *create* work (the growing scenario
@@ -442,13 +540,13 @@ class FastEventEngine(FlatArrayEngine):
             break
         sched.now_tick = end
 
-    def _c_model_codes(self):
+    def _native_models(self):
         """Loss/latency parameters for the all-C loop, or ``None``.
 
         Only the built-in model classes are expressible: the C side
         reproduces their exact ``random.Random`` float expressions (see
         ``fc_event_run``), so results stay byte-identical with the
-        Python paths.  Custom models fall back to the per-step loop.
+        Python loop.  Custom models need Python between protocol steps.
         """
         loss = self.loss
         if type(loss) is NoLoss:
@@ -469,59 +567,43 @@ class FastEventEngine(FlatArrayEngine):
             return None
         return (loss_code, loss_p) + lat
 
-    def _specialized_models(self):
-        """Constant-fold the built-in loss/latency models for the hot loop.
+    def _hot_bindings(self, tick_shift: int):
+        """Per-send bindings of the dispatch loop, from observable state.
 
-        Returns ``(no_loss, bernoulli_p, constant_delay_ticks, uniform)``:
-        draw-free models are skipped entirely (``NoLoss`` consumes no RNG,
-        ``ConstantLatency`` folds to one precomputed tick count) and the
-        two stochastic built-ins reduce to a single ``random()`` draw
-        inlined at the call site with exactly the float expression
-        ``random.Random`` would evaluate, so the RNG stream is unchanged.
-        Anything else (``None`` markers) goes through the generic
-        ``drops``/``sample`` calls.
+        Everything returned here is state the reference event engine
+        reads per send and that boundary observers may legitimately swap
+        mid-run (``TemporaryPartition`` installs ``reachable``; models
+        can be replaced), so the loop binds it at slice start and again
+        after every cycle boundary.  Returns ``(reachable,
+        latency_sample, loss_drops, no_loss, bernoulli_p, constant_delay,
+        uniform, constant_delay_key)``.
+
+        The built-in models are constant-folded: draw-free ones are
+        skipped entirely (``NoLoss`` consumes no RNG, ``ConstantLatency``
+        folds to one precomputed tick count) and the two stochastic
+        built-ins reduce to a single ``random()`` draw inlined at the
+        call site with exactly the float expression ``random.Random``
+        would evaluate, so the RNG stream is unchanged.  Anything else
+        (``None`` markers) goes through the generic ``drops``/``sample``
+        calls.
         """
         loss = self.loss
-        no_loss = type(loss) is NoLoss
-        bernoulli_p = (
-            loss.probability if type(loss) is BernoulliLoss else None
-        )
         latency = self.latency
         constant_delay = (
             int(latency.delay * self._tick_scale)
             if type(latency) is ConstantLatency
             else None
         )
-        uniform = (
-            (latency.low, latency.high - latency.low)
-            if type(latency) is UniformLatency
-            else None
-        )
-        return no_loss, bernoulli_p, constant_delay, uniform
-
-    def _hot_bindings(self, tick_shift: int):
-        """Hot-loop bindings derived from observable engine state.
-
-        Everything returned here is state the reference event engine
-        reads per send and that boundary observers may legitimately swap
-        mid-run (``TemporaryPartition`` installs ``reachable``; models
-        can be replaced): both interpreter loops bind it at slice start
-        AND re-bind through this one helper after every cycle boundary,
-        so the backends cannot drift apart on re-binding semantics.
-        Returns ``(reachable, latency_sample, loss_drops, no_loss,
-        bernoulli_p, constant_delay, uniform, constant_delay_key)``.
-        """
-        no_loss, bernoulli_p, constant_delay, uniform = (
-            self._specialized_models()
-        )
         return (
             self.reachable,
-            self.latency.sample,
-            self.loss.drops,
-            no_loss,
-            bernoulli_p,
+            latency.sample,
+            loss.drops,
+            type(loss) is NoLoss,
+            loss.probability if type(loss) is BernoulliLoss else None,
             constant_delay,
-            uniform,
+            (latency.low, latency.high - latency.low)
+            if type(latency) is UniformLatency
+            else None,
             constant_delay << tick_shift
             if constant_delay is not None
             else None,
@@ -536,54 +618,54 @@ class FastEventEngine(FlatArrayEngine):
             self._notify_after_cycle()
             self._notify_before_cycle()
 
-    # -- the pure-Python event loop ----------------------------------------
+    # -- the dispatch loop -------------------------------------------------
 
-    def _run_events_python(self, end: int) -> None:
-        """Dispatch all events up to ``end``, kernel primitives in Python.
+    def _run_events(self, end: int, selection) -> None:
+        """Dispatch events up to ``end``: the one Python heap loop.
 
         Mirrors ``EventEngine.run_time`` decision for decision and draw
         for draw -- see the module docstring for the equivalence
-        argument.  Counters are accumulated locally and flushed before
-        every cycle boundary so observers see up-to-date totals.
+        argument.  The loop owns *when* things happen (the heap, timers,
+        reachability, loss, latency, message slots, counters); *what* a
+        node does on a timer or a delivery comes from the step backend
+        that ``selection`` (this slice's :meth:`_backend` answer) names:
+        :class:`_KernelSteps` or :class:`_CoreSteps`.
+
+        Counters are accumulated locally and flushed before every cycle
+        boundary so observers see up-to-date totals.  After a boundary
+        the selection is re-evaluated; when it changed the loop returns
+        with all state handed back, and ``run_ticks`` re-enters through
+        the backend that now applies.
         """
+        hooks, accel, _ = selection
+        steps = (
+            _CoreSteps(self, accel)
+            if accel is not None
+            else _KernelSteps(self, hooks)
+        )
+        begin = steps.begin
+        deliver = steps.deliver
+        new_slot = steps.new_slot
+        rng = steps.rng
+        rand = steps.rand
+        out = self._c_out
+        out_ptr = steps.out_ptr
         sched = self._sched
         heap = sched._heap
         tick_shift = sched._tick_shift
         seq_shift = sched._seq_shift
         data_mask = sched._data_mask
         seq = sched._seq
-        config = self.config
-        c = config.view_size
-        stride = self._slot_stride
         ticks_per_period = self.ticks_per_period
         tick_scale = self._tick_scale
-        rng = self.rng
-        randrange = rng.randrange
-        merge_into = self._merge_into
-        vids = self._vids
-        vhops = self._vhops
-        vlen = self._vlen
-        row_of = self._row_of
         alive = self._alive
         addr_of = self._addr_of
-        m_ids = self._m_ids
-        m_hops = self._m_hops
-        m_len = self._m_len
         m_src = self._m_src
         m_dst = self._m_dst
         free_slots = self._free_slots
-        push_proto = config.push
-        pull = config.pull
-        peer_sel = config.peer_selection
-        ps_rand = peer_sel is PeerSelection.RAND
-        ps_head = peer_sel is PeerSelection.HEAD
-        omniscient = self.omniscient_peer_selection
-        validating = config.validate_descriptors
-        if validating:
-            from repro.defenses.validation import sanitize_indexed
-        inc = (1).__add__
-        alive_at = alive.__getitem__
-        rand = rng.random
+        free_pop = free_slots.pop
+        free_append = free_slots.append
+        pull = self.config.pull
         (
             reachable,
             latency_sample,
@@ -594,30 +676,31 @@ class FastEventEngine(FlatArrayEngine):
             uniform,
             constant_delay_key,
         ) = self._hot_bindings(tick_shift)
-        free_pop = free_slots.pop
-        free_append = free_slots.append
         completed = 0
         failed = 0
         sent = 0
         lost = 0
-        next_boundary = (self._boundary_index + 1) * ticks_per_period
         # Control flow compares raw packed keys, not unpacked ticks: for
         # any threshold tick T, key < T << shift  <=>  tick < T, because
         # the low (seq | data) bits are always below 1 << shift.
         end_key = ((end + 1) << tick_shift) - 1
-        boundary_key = next_boundary << tick_shift
+        boundary_key = (
+            (self._boundary_index + 1) * ticks_per_period
+        ) << tick_shift
         period_key = ticks_per_period << tick_shift
         tick_mask = ~((1 << tick_shift) - 1)  # key & tick_mask strips seq/data
         last_key = None
 
+        steps.enter()
         try:
             while heap:
                 key = heap[0]
                 if key > end_key:
                     break
                 if key >= boundary_key:
-                    # flush counters and hand control to the observers; they
-                    # may draw from the RNG, crash/add nodes and push timers.
+                    # flush counters and hand control (and the RNG) to the
+                    # observers; they may draw, crash/add nodes, push
+                    # timers, open an attack window or install a model.
                     self.completed_exchanges += completed
                     self.failed_exchanges += failed
                     self.messages_sent += sent
@@ -626,10 +709,15 @@ class FastEventEngine(FlatArrayEngine):
                     sched._seq = seq
                     if last_key is not None:
                         sched.now_tick = last_key >> tick_shift
+                    steps.leave()
                     self._fire_boundaries(key >> tick_shift)
-                    next_boundary = (self._boundary_index + 1) * ticks_per_period
-                    boundary_key = next_boundary << tick_shift
+                    boundary_key = (
+                        (self._boundary_index + 1) * ticks_per_period
+                    ) << tick_shift
                     seq = sched._seq
+                    if self._backend() != selection:
+                        return
+                    steps.enter()
                     (
                         reachable,
                         latency_sample,
@@ -644,490 +732,97 @@ class FastEventEngine(FlatArrayEngine):
                 key = heappop(heap)
                 last_key = key
                 data = key & data_mask
+                out_slot = -1  # the message this event sends, if any
 
                 if data < _REQUEST:  # timer; data is the bare node id
-                    i = data
-                    if not alive[i]:
+                    src = data
+                    if not alive[src]:
                         continue  # crashed: the timer dies with the node
-                    row = row_of[i]
-                    base = row * c
-                    ln = vlen[row]
-                    row_end = base + ln
-                    p = -1
-                    if ln:
-                        # active thread, first half: age view, select peer.
-                        aged = array("q", map(inc, vhops[base:row_end]))
-                        vhops[base:row_end] = aged
-                        if not omniscient:
-                            if ps_rand:
-                                p = vids[base + randrange(ln)]
-                            elif ps_head:
-                                p = vids[base]
-                            else:
-                                p = vids[row_end - 1]
-                        elif self._maybe_dead_refs:
-                            vslice = vids[base:row_end]
-                            cand = list(compress(vslice, map(alive_at, vslice)))
-                            if cand:
-                                if ps_rand:
-                                    p = cand[randrange(len(cand))]
-                                elif ps_head:
-                                    p = cand[0]
-                                else:
-                                    p = cand[-1]
-                        else:
-                            if ps_rand:
-                                p = vids[base + randrange(ln)]
-                            elif ps_head:
-                                p = vids[base]
-                            else:
-                                p = vids[row_end - 1]
-                    base_key = key & tick_mask
-                    if p >= 0:
-                        sent += 1
-                        if reachable is not None and not reachable(
-                            addr_of[i], addr_of[p]
-                        ):
-                            lost += 1
-                        elif no_loss or (
-                            rand() >= bernoulli_p
-                            if bernoulli_p is not None
-                            else not loss_drops(rng)
-                        ):
-                            if constant_delay is not None:
-                                delay_key = constant_delay_key
-                            elif uniform is not None:
-                                delay_key = int(
-                                    (uniform[0] + uniform[1] * rand())
-                                    * tick_scale
-                                ) << tick_shift
-                            else:
-                                delay = latency_sample(rng)
-                                if delay < 0:
-                                    # same guard EventEngine gets from
-                                    # EventScheduler.schedule
-                                    raise SimulationError(
-                                        "cannot schedule into the past: "
-                                        f"{delay}"
-                                    )
-                                delay_key = (
-                                    int(delay * tick_scale) << tick_shift
-                                )
-                            slot = free_pop() if free_slots else self._new_slot()
-                            off = slot * stride
-                            if push_proto:
-                                m_ids[off] = i
-                                m_hops[off] = 1
-                                m_ids[off + 1:off + 1 + ln] = vids[base:row_end]
-                                m_hops[off + 1:off + 1 + ln] = array(
-                                    "q", map(inc, vhops[base:row_end])
-                                )
-                                m_len[slot] = ln + 1
-                            else:
-                                m_len[slot] = 0
-                            m_src[slot] = i
-                            m_dst[slot] = p
-                            heappush(
-                                heap,
-                                base_key
-                                + delay_key
-                                + ((seq << seq_shift) | _REQUEST | slot),
+                    slot = free_pop() if free_slots else new_slot()
+                    begin(src, slot, out_ptr)
+                    dst = out[0]
+                    if dst >= 0:
+                        out_slot = slot
+                        kind = _REQUEST
+                    else:
+                        free_append(slot)
+                else:
+                    slot = data & _IDX_MASK
+                    src = m_dst[slot]  # the receiver sends what follows
+                    if not alive[src]:
+                        failed += 1
+                        free_append(slot)
+                        continue
+                    if data >= _REPLY:
+                        # second half of the active thread
+                        deliver(src, slot, -1, out_ptr)
+                    else:
+                        # the passive thread; under pull its reply
+                        # snapshot precedes the merge (Figure 1).
+                        if pull:
+                            out_slot = (
+                                free_pop() if free_slots else new_slot()
                             )
-                            seq += 1
+                            dst = m_src[slot]
+                            kind = _REPLY
+                        deliver(src, slot, out_slot, out_ptr)
+                        completed += 1
+                    free_append(slot)
+
+                if out_slot >= 0:
+                    sent += 1
+                    if reachable is not None and not reachable(
+                        addr_of[src], addr_of[dst]
+                    ):
+                        lost += 1
+                        free_append(out_slot)
+                    elif no_loss or (
+                        rand() >= bernoulli_p
+                        if bernoulli_p is not None
+                        else not loss_drops(rng)
+                    ):
+                        if constant_delay is not None:
+                            delay_key = constant_delay_key
+                        elif uniform is not None:
+                            delay_key = int(
+                                (uniform[0] + uniform[1] * rand())
+                                * tick_scale
+                            ) << tick_shift
                         else:
-                            lost += 1
+                            delay = latency_sample(rng)
+                            if delay < 0:
+                                # same guard EventEngine gets from
+                                # EventScheduler.schedule
+                                raise SimulationError(
+                                    f"cannot schedule into the past: {delay}"
+                                )
+                            delay_key = int(delay * tick_scale) << tick_shift
+                        m_src[out_slot] = src
+                        m_dst[out_slot] = dst
+                        heappush(
+                            heap,
+                            (key & tick_mask)
+                            + delay_key
+                            + ((seq << seq_shift) | kind | out_slot),
+                        )
+                        seq += 1
+                    else:
+                        lost += 1
+                        free_append(out_slot)
+                if data < _REQUEST:
                     # the timer survives even when no exchange started
                     heappush(
                         heap,
-                        base_key + period_key + ((seq << seq_shift) | data),
+                        (key & tick_mask)
+                        + period_key
+                        + ((seq << seq_shift) | data),
                     )
                     seq += 1
-
-                elif data < _REPLY:  # request delivery (the passive thread)
-                    slot = data & _IDX_MASK
-                    dst = m_dst[slot]
-                    if not alive[dst]:
-                        failed += 1
-                        free_append(slot)
-                        continue
-                    src = m_src[slot]
-                    n = m_len[slot]
-                    off = slot * stride
-                    rslot = -1
-                    if pull:
-                        # the reply snapshot precedes the merge (Figure 1).
-                        rslot = free_pop() if free_slots else self._new_slot()
-                        roff = rslot * stride
-                        row = row_of[dst]
-                        base = row * c
-                        ln = vlen[row]
-                        m_ids[roff] = dst
-                        m_hops[roff] = 1
-                        m_ids[roff + 1:roff + 1 + ln] = vids[base:base + ln]
-                        m_hops[roff + 1:roff + 1 + ln] = array(
-                            "q", map(inc, vhops[base:base + ln])
-                        )
-                        m_len[rslot] = ln + 1
-                        m_src[rslot] = dst
-                        m_dst[rslot] = src
-                    if n:
-                        if validating:
-                            r_ids, r_hops = sanitize_indexed(
-                                m_ids[off:off + n].tolist(),
-                                m_hops[off:off + n].tolist(),
-                                dst,
-                                src,
-                                c,
-                            )
-                            if r_ids:
-                                merge_into(dst, r_ids, r_hops)
-                        else:
-                            merge_into(
-                                dst,
-                                m_ids[off:off + n].tolist(),
-                                m_hops[off:off + n].tolist(),
-                            )
-                    completed += 1
-                    free_append(slot)
-                    if rslot >= 0:
-                        sent += 1
-                        if reachable is not None and not reachable(
-                            addr_of[dst], addr_of[src]
-                        ):
-                            lost += 1
-                            free_append(rslot)
-                        elif no_loss or (
-                            rand() >= bernoulli_p
-                            if bernoulli_p is not None
-                            else not loss_drops(rng)
-                        ):
-                            if constant_delay is not None:
-                                delay_key = constant_delay_key
-                            elif uniform is not None:
-                                delay_key = int(
-                                    (uniform[0] + uniform[1] * rand())
-                                    * tick_scale
-                                ) << tick_shift
-                            else:
-                                delay = latency_sample(rng)
-                                if delay < 0:
-                                    # same guard EventEngine gets from
-                                    # EventScheduler.schedule
-                                    raise SimulationError(
-                                        "cannot schedule into the past: "
-                                        f"{delay}"
-                                    )
-                                delay_key = (
-                                    int(delay * tick_scale) << tick_shift
-                                )
-                            heappush(
-                                heap,
-                                (key & tick_mask)
-                                + delay_key
-                                + ((seq << seq_shift) | _REPLY | rslot),
-                            )
-                            seq += 1
-                        else:
-                            lost += 1
-                            free_append(rslot)
-
-                else:  # reply delivery (second half of the active thread)
-                    slot = data & _IDX_MASK
-                    dst = m_dst[slot]
-                    if not alive[dst]:
-                        failed += 1
-                        free_append(slot)
-                        continue
-                    n = m_len[slot]
-                    off = slot * stride
-                    if validating:
-                        r_ids, r_hops = sanitize_indexed(
-                            m_ids[off:off + n].tolist(),
-                            m_hops[off:off + n].tolist(),
-                            dst,
-                            m_src[slot],
-                            c,
-                        )
-                        if r_ids:
-                            merge_into(dst, r_ids, r_hops)
-                    else:
-                        merge_into(
-                            dst,
-                            m_ids[off:off + n].tolist(),
-                            m_hops[off:off + n].tolist(),
-                        )
-                    free_append(slot)
-
         finally:
             # flush even when an observer raises mid-slice, so a caller
-            # that catches and resumes sees consistent counters and
-            # scheduler state (the C paths guard the same way).
-            self.completed_exchanges += completed
-            self.failed_exchanges += failed
-            self.messages_sent += sent
-            self.messages_lost += lost
-            # monotonic guard: if an observer raised mid-boundary after
-            # pushing events, the scheduler's counter is already ahead of
-            # this local -- never roll it back, or later pushes would mint
-            # duplicate (tick, seq) keys and break FIFO ordering.
-            if seq > sched._seq:
-                sched._seq = seq
-            if last_key is not None:
-                sched.now_tick = last_key >> tick_shift
-
-    # -- the accelerated event loop ----------------------------------------
-
-    def _run_events_c(self, accel: Accelerator, end: int) -> None:
-        """Dispatch all events up to ``end`` through the C core.
-
-        One C call per protocol step (``fc_event_begin`` per timer,
-        ``fc_event_deliver`` per delivery); the Mersenne Twister state is
-        resident in C for the whole slice and handed back to the Python
-        ``Random`` around every cycle boundary (observers draw from
-        Python) and on return.  Loss/latency draws go through the
-        :class:`_AcceleratorRandom` facade against the resident state.
-        """
-        sched = self._sched
-        heap = sched._heap
-        tick_shift = sched._tick_shift
-        seq_shift = sched._seq_shift
-        data_mask = sched._data_mask
-        seq = sched._seq
-        ticks_per_period = self.ticks_per_period
-        tick_scale = self._tick_scale
-        rng = self.rng
-        c_rng = self._c_rng
-        alive = self._alive
-        addr_of = self._addr_of
-        m_src = self._m_src
-        m_dst = self._m_dst
-        free_slots = self._free_slots
-        pull = self.config.pull
-        out = self._c_out
-        out_ptr = Accelerator.pointer(out.buffer_info()[0])
-        state = self._rstate
-        state_ptr = Accelerator.pointer(state.buffer_info()[0])
-        event_begin = accel.event_begin
-        event_deliver = accel.event_deliver
-        completed = 0
-        failed = 0
-        sent = 0
-        lost = 0
-        next_boundary = (self._boundary_index + 1) * ticks_per_period
-
-        rand = accel.rand_double
-        (
-            reachable,
-            latency_sample,
-            loss_drops,
-            no_loss,
-            bernoulli_p,
-            constant_delay,
-            uniform,
-            constant_delay_key,
-        ) = self._hot_bindings(tick_shift)
-        free_pop = free_slots.pop
-        free_append = free_slots.append
-        # Control flow compares raw packed keys, not unpacked ticks: for
-        # any threshold tick T, key < T << shift  <=>  tick < T, because
-        # the low (seq | data) bits are always below 1 << shift.
-        end_key = ((end + 1) << tick_shift) - 1
-        boundary_key = next_boundary << tick_shift
-        period_key = ticks_per_period << tick_shift
-        tick_mask = ~((1 << tick_shift) - 1)  # key & tick_mask strips seq/data
-        last_key = None
-
-        self._accel_setup(accel)
-        self._event_setup(accel)
-        self._ptr_dirty = False
-        version, internal, gauss = rng.getstate()
-        state[:] = array("q", internal)
-        accel.load_state(state_ptr)
-        resident = True  # the authoritative MT state lives in C right now
-        try:
-            while heap:
-                key = heap[0]
-                if key > end_key:
-                    break
-                if key >= boundary_key:
-                    # hand the RNG and counters back for the observers.
-                    self.completed_exchanges += completed
-                    self.failed_exchanges += failed
-                    self.messages_sent += sent
-                    self.messages_lost += lost
-                    completed = failed = sent = lost = 0
-                    sched._seq = seq
-                    if last_key is not None:
-                        sched.now_tick = last_key >> tick_shift
-                    accel.store_state(state_ptr)
-                    rng.setstate((version, tuple(state), gauss))
-                    resident = False
-                    self._fire_boundaries(key >> tick_shift)
-                    next_boundary = (
-                        self._boundary_index + 1
-                    ) * ticks_per_period
-                    boundary_key = next_boundary << tick_shift
-                    seq = sched._seq
-                    (
-                        reachable,
-                        latency_sample,
-                        loss_drops,
-                        no_loss,
-                        bernoulli_p,
-                        constant_delay,
-                        uniform,
-                        constant_delay_key,
-                    ) = self._hot_bindings(tick_shift)
-                    version, internal, gauss = rng.getstate()
-                    state[:] = array("q", internal)
-                    # observers may have grown buffers or driven another
-                    # accelerated engine: re-register everything.
-                    self._accel_setup(accel)
-                    self._event_setup(accel)
-                    self._ptr_dirty = False
-                    accel.load_state(state_ptr)
-                    resident = True
-                    continue  # re-peek: observers may have pushed events
-                key = heappop(heap)
-                last_key = key
-                data = key & data_mask
-
-                if data < _REQUEST:  # timer; data is the bare node id
-                    i = data
-                    if not alive[i]:
-                        continue  # crashed: the timer dies with the node
-                    slot = free_pop() if free_slots else self._new_slot_c(accel)
-                    event_begin(i, slot, out_ptr)
-                    p = out[0]
-                    base = key & tick_mask  # strip seq/data: tick << tick_shift
-                    if p >= 0:
-                        sent += 1
-                        if reachable is not None and not reachable(
-                            addr_of[i], addr_of[p]
-                        ):
-                            lost += 1
-                            free_append(slot)
-                        elif no_loss or (
-                            rand() >= bernoulli_p
-                            if bernoulli_p is not None
-                            else not loss_drops(c_rng)
-                        ):
-                            if constant_delay is not None:
-                                delay_key = constant_delay_key
-                            elif uniform is not None:
-                                delay_key = int(
-                                    (uniform[0] + uniform[1] * rand())
-                                    * tick_scale
-                                ) << tick_shift
-                            else:
-                                delay = latency_sample(c_rng)
-                                if delay < 0:
-                                    # same guard EventEngine gets from
-                                    # EventScheduler.schedule
-                                    raise SimulationError(
-                                        "cannot schedule into the past: "
-                                        f"{delay}"
-                                    )
-                                delay_key = (
-                                    int(delay * tick_scale) << tick_shift
-                                )
-                            m_src[slot] = i
-                            m_dst[slot] = p
-                            heappush(
-                                heap,
-                                base
-                                + delay_key
-                                + ((seq << seq_shift) | _REQUEST | slot),
-                            )
-                            seq += 1
-                        else:
-                            lost += 1
-                            free_append(slot)
-                    else:
-                        free_append(slot)
-                    heappush(
-                        heap,
-                        base + period_key + ((seq << seq_shift) | data),
-                    )
-                    seq += 1
-
-                elif data < _REPLY:  # request delivery
-                    slot = data & _IDX_MASK
-                    dst = m_dst[slot]
-                    if not alive[dst]:
-                        failed += 1
-                        free_append(slot)
-                        continue
-                    src = m_src[slot]
-                    if pull:
-                        rslot = (
-                            free_pop()
-                            if free_slots
-                            else self._new_slot_c(accel)
-                        )
-                        event_deliver(dst, slot, rslot, out_ptr)
-                        completed += 1
-                        free_append(slot)
-                        sent += 1
-                        if reachable is not None and not reachable(
-                            addr_of[dst], addr_of[src]
-                        ):
-                            lost += 1
-                            free_append(rslot)
-                        elif no_loss or (
-                            rand() >= bernoulli_p
-                            if bernoulli_p is not None
-                            else not loss_drops(c_rng)
-                        ):
-                            if constant_delay is not None:
-                                delay_key = constant_delay_key
-                            elif uniform is not None:
-                                delay_key = int(
-                                    (uniform[0] + uniform[1] * rand())
-                                    * tick_scale
-                                ) << tick_shift
-                            else:
-                                delay = latency_sample(c_rng)
-                                if delay < 0:
-                                    # same guard EventEngine gets from
-                                    # EventScheduler.schedule
-                                    raise SimulationError(
-                                        "cannot schedule into the past: "
-                                        f"{delay}"
-                                    )
-                                delay_key = (
-                                    int(delay * tick_scale) << tick_shift
-                                )
-                            m_src[rslot] = dst
-                            m_dst[rslot] = src
-                            heappush(
-                                heap,
-                                (key & tick_mask)
-                                + delay_key
-                                + ((seq << seq_shift) | _REPLY | rslot),
-                            )
-                            seq += 1
-                        else:
-                            lost += 1
-                            free_append(rslot)
-                    else:
-                        event_deliver(dst, slot, -1, out_ptr)
-                        completed += 1
-                        free_append(slot)
-
-                else:  # reply delivery
-                    slot = data & _IDX_MASK
-                    dst = m_dst[slot]
-                    if not alive[dst]:
-                        failed += 1
-                        free_append(slot)
-                        continue
-                    event_deliver(dst, slot, -1, out_ptr)
-                    free_append(slot)
-        finally:
-            if resident:
-                accel.store_state(state_ptr)
-                rng.setstate((version, tuple(state), gauss))
+            # that catches and resumes sees consistent counters, RNG and
+            # scheduler state (the whole-slice path guards the same way).
+            steps.leave()
             self.completed_exchanges += completed
             self.failed_exchanges += failed
             self.messages_sent += sent
@@ -1157,13 +852,14 @@ class FastEventEngine(FlatArrayEngine):
         without touching the interpreter until a cycle boundary, the end
         of the slice, or a capacity limit.  Observers run in Python at
         every boundary with the RNG state and all bookkeeping handed
-        back, exactly like the other two paths.
+        back, exactly like the Python dispatch loop.
 
         Returns ``True`` when the slice completed, ``False`` when a
-        boundary observer installed a reachability predicate or swapped
-        in a model the C loop cannot express -- all state is handed back
-        consistently and the caller finishes the slice on the per-step
-        path, which honors those changes.
+        boundary changed the backend selection (an attack window opened,
+        an observer installed a reachability predicate or swapped in a
+        model the C loop cannot express) -- all state is handed back
+        consistently and ``run_ticks`` finishes the slice through
+        :meth:`_run_events`, which honors those changes.
         """
         loss_code, loss_p, lat_code, const_delay, lat_a, lat_b = codes
         sched = self._sched
@@ -1285,13 +981,11 @@ class FastEventEngine(FlatArrayEngine):
                         heap.clear()
                     accel.load_state(state_ptr)
                     resident = True
-                    if (
-                        self.reachable is not None
-                        or self._c_model_codes() != codes
-                    ):
-                        # an observer installed a reachability predicate
-                        # or swapped the latency/loss models: hand the
-                        # rest of the slice to the per-step path.
+                    if self._backend() != (None, accel, codes):
+                        # an observer opened an attack window, installed
+                        # a reachability predicate or swapped the
+                        # latency/loss models: hand the rest of the slice
+                        # to the Python dispatch loop.
                         return False
                 elif reason == 2:  # heap arrays full: grow and re-enter
                     ht.frombytes(pad)

@@ -82,7 +82,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.config import ProtocolConfig
 from repro.core.errors import ConfigurationError
 from repro.simulation._fastcore import Accelerator, load_accelerator
-from repro.simulation.arrayviews import _POLICY_CODE, FlatArrayEngine
+from repro.simulation.arrayviews import FlatArrayEngine
 
 __all__ = [
     "ShardedCycleEngine",
@@ -351,10 +351,12 @@ class ShmVector:
 
 
 # ---------------------------------------------------------------------------
-# The round phases, pure-Python backend.  These mirror the C kernels
-# `fs_request_phase` / `fs_deliver` in _fastcore.py operation for
-# operation; `store` is either the engine itself (serial path) or a
-# worker's _ShmKernel shell -- both expose the flat-array attributes.
+# The round phases, pure-Python backend: the kernel's exchange steps
+# (`FlatArrayEngine.select` / `payload` / `receive`) scheduled as BSP
+# phases and fed the keyed draws.  The C kernels `fs_request_phase` /
+# `fs_deliver` in _fastcore.py mirror them operation for operation;
+# `store` is either the engine itself (serial path) or a worker's
+# _ShmKernel shell -- both expose the steps.
 # ---------------------------------------------------------------------------
 
 # Message record: (src, dst, payload_ids, payload_hops); payload hop
@@ -371,63 +373,26 @@ def _phase_request_py(store, seed, rnd, shard, nshards, n_ids,
     ``reachable`` predicate (partition scenarios), which the engine
     evaluates serially -- dead destinations are counted at delivery.
     """
-    config = store.config
-    c = config.view_size
-    vids = store._vids
-    vhops = store._vhops
-    vlen = store._vlen
-    row_of = store._row_of
     alive = store._alive
-    ps = _POLICY_CODE[config.peer_selection.value]
-    push = config.push
-    omniscient = store.omniscient_peer_selection
-    inc = (1).__add__
+    addr_of = store._addr_of if reachable is not None else None
     failed = 0
     messages = []
+
+    def draw(n):
+        # the keyed selection draw of the node the loop is at: `i` is
+        # read when `select` calls back, within the same iteration.
+        return _fs_below(_fs_key(seed, _FS_SELECT, rnd, i, 0), 0, n)
+
     for i in range(shard, n_ids, nshards):
         if not alive[i]:
             continue
-        row = row_of[i]
-        base = row * c
-        ln = vlen[row]
-        if not ln:
+        p = store.select(i, draw)
+        if p < 0:
             continue
-        end = base + ln
-        aged = array("q", map(inc, vhops[base:end]))
-        vhops[base:end] = aged
-        if omniscient:
-            cand = [a for a in vids[base:end] if alive[a]]
-            if not cand:
-                continue
-            if ps == 0:
-                key = _fs_key(seed, _FS_SELECT, rnd, i, 0)
-                p = cand[_fs_below(key, 0, len(cand))]
-            elif ps == 1:
-                p = cand[0]
-            else:
-                p = cand[-1]
-        else:
-            if ps == 0:
-                key = _fs_key(seed, _FS_SELECT, rnd, i, 0)
-                p = vids[base + _fs_below(key, 0, ln)]
-            elif ps == 1:
-                p = vids[base]
-            else:
-                p = vids[end - 1]
-        if reachable is not None and not reachable(
-            store._addr_of[i], store._addr_of[p]
-        ):
+        if reachable is not None and not reachable(addr_of[i], addr_of[p]):
             failed += 1
             continue
-        if push:
-            pids = [i]
-            pids.extend(vids[base:end])
-            phops = [1]
-            phops.extend(map(inc, aged))
-        else:
-            pids = []
-            phops = []
-        messages.append((i, p, pids, phops))
+        messages.append((i, p, *store.payload(i, p, False)))
     return messages, failed
 
 
@@ -443,16 +408,8 @@ def _phase_deliver_py(store, seed, rnd, is_request, messages, do_reply):
     exactly like the passive thread of Figure 1; counters only move on
     the request phase.
     """
-    config = store.config
-    c = config.view_size
-    vids = store._vids
-    vhops = store._vhops
-    vlen = store._vlen
-    row_of = store._row_of
     alive = store._alive
     purpose = _FS_REQ if is_request else _FS_REP
-    merge_into = FlatArrayEngine._merge_into
-    inc = (1).__add__
     completed = failed = 0
     replies = []
     for src, dst, pids, phops in sorted(messages, key=_dst_src):
@@ -461,17 +418,12 @@ def _phase_deliver_py(store, seed, rnd, is_request, messages, do_reply):
                 failed += 1
             continue
         if do_reply:
-            row = row_of[dst]
-            base = row * c
-            ln = vlen[row]
-            rids = [dst]
-            rids.extend(vids[base:base + ln])
-            rhops = [1]
-            rhops.extend(map(inc, vhops[base:base + ln]))
-            replies.append((dst, src, rids, rhops))
+            replies.append((dst, src, *store.payload(dst, src, True)))
         if pids:
             key = _fs_key(seed, purpose, rnd, dst, src)
-            merge_into(store, dst, pids, phops, sample=_keyed_sampler(key))
+            store.receive(
+                dst, src, pids, phops, sample=_keyed_sampler(key)
+            )
         if is_request:
             completed += 1
     return completed, failed, replies
@@ -517,7 +469,7 @@ def _unpack_for_shard(boxes, counts, stride, c, shard, nshards):
 def _deliver_c(accel, store, seed, rnd, is_request, shard, nshards,
                boxes, counts, do_reply, reply_box):
     """Run `fs_deliver` over ``boxes`` (anything with ``buffer_info``)."""
-    FlatArrayEngine._accel_setup(store, accel)
+    store._accel_setup(accel)
     addrs = array("q", [box.buffer_info()[0] for box in boxes])
     cnts = array("q", counts)
     out = array("q", (0, 0, 0))
@@ -544,14 +496,21 @@ _STORE_ROLES = ("vids", "vhops", "vlen", "row_of", "alive")
 class _ShmKernel:
     """The worker-side stand-in for the engine.
 
-    Just enough flat-array attributes for the shared phase functions --
-    and for ``FlatArrayEngine._merge_into`` / ``_accel_setup`` called
-    unbound -- to run against attached segments.  ``rng`` stays ``None``
-    on purpose: every draw on the sharded path is keyed, so touching the
-    engine RNG from a worker would be a bug, and fails loudly.
+    Just enough flat-array attributes for the kernel's exchange steps
+    and ``_accel_setup`` -- borrowed unbound from
+    :class:`FlatArrayEngine` -- to run against attached segments.
+    ``rng`` stays ``None`` on purpose: every draw on the sharded path is
+    keyed, so touching the engine RNG from a worker would be a bug, and
+    fails loudly.
     """
 
     shuffle_each_cycle = False
+    _maybe_dead_refs = True  # workers never see the parent's flag: filter
+    select = FlatArrayEngine.select
+    payload = FlatArrayEngine.payload
+    receive = FlatArrayEngine.receive
+    _merge_into = FlatArrayEngine._merge_into
+    _accel_setup = FlatArrayEngine._accel_setup
 
     def __init__(self, config: ProtocolConfig, omniscient: bool) -> None:
         self.config = config
@@ -629,7 +588,7 @@ def _worker_main(shard, nshards, conn, config, phase_seed, omniscient,
                 rnd, n_ids = cmd[1], cmd[2]
                 box = req_boxes[shard]
                 if accel is not None:
-                    FlatArrayEngine._accel_setup(shell, accel)
+                    shell._accel_setup(accel)
                     n = accel.shard_request(
                         phase_seed, rnd, shard, nshards, n_ids,
                         pointer(box.buffer_info()[0]))

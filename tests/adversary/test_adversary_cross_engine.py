@@ -45,6 +45,14 @@ PROTOCOLS = (
     "(rand,head,pushpull);h2s2",
 )
 
+VALIDATING = (
+    "(rand,head,pushpull);v",
+    "(rand,rand,pushpull);v",
+    "(tail,rand,pushpull);h2s2;v",
+)
+"""Defended designs: the receive step must sanitise attacked buffers on
+every engine (the fast engine's adversarial loop once skipped it)."""
+
 
 def attacked_spec(kind, **overrides):
     adversary = KIND_SPECS[kind]
@@ -80,13 +88,15 @@ def run_once(spec, engine, protocol="(rand,head,pushpull)", seed=5,
     return outcome
 
 
+@pytest.mark.parametrize("protocol", PROTOCOLS[:1] + VALIDATING)
 @pytest.mark.parametrize("kind", sorted(KIND_SPECS))
-def test_cycle_family_byte_identical(kind):
+def test_cycle_family_byte_identical(kind, protocol):
     spec = attacked_spec(kind)
     outcomes = {
-        engine: run_once(spec, engine) for engine in CYCLE_FAMILY
+        engine: run_once(spec, engine, protocol=protocol)
+        for engine in CYCLE_FAMILY
     }
-    assert len(set(outcomes.values())) == 1, outcomes
+    assert len(set(outcomes.values())) == 1, (protocol, outcomes)
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -99,12 +109,15 @@ def test_identity_across_protocol_designs(protocol):
     assert len(set(outcomes.values())) == 1, (protocol, outcomes)
 
 
-def test_identity_with_attack_window():
-    spec = attacked_spec("hub", start_cycle=3, stop_cycle=8)
+@pytest.mark.parametrize("protocol", PROTOCOLS[:1] + VALIDATING)
+@pytest.mark.parametrize("kind", sorted(KIND_SPECS))
+def test_identity_with_attack_window(kind, protocol):
+    spec = attacked_spec(kind, start_cycle=3, stop_cycle=8)
     outcomes = {
-        engine: run_once(spec, engine) for engine in CYCLE_FAMILY
+        engine: run_once(spec, engine, protocol=protocol)
+        for engine in CYCLE_FAMILY
     }
-    assert len(set(outcomes.values())) == 1, outcomes
+    assert len(set(outcomes.values())) == 1, (protocol, outcomes)
 
 
 def test_identity_under_non_omniscient_selection():
@@ -144,10 +157,7 @@ def test_event_family_byte_identical(kind):
     assert len(set(outcomes.values())) == 1, outcomes
 
 
-@pytest.mark.parametrize(
-    "protocol",
-    PROTOCOLS + ("(rand,head,pushpull);v", "(tail,rand,pushpull);h2s2;v"),
-)
+@pytest.mark.parametrize("protocol", PROTOCOLS + VALIDATING)
 def test_event_family_identity_across_designs(protocol):
     spec = attacked_spec("hub")
     outcomes = {

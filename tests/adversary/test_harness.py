@@ -116,17 +116,48 @@ class TestInstallation:
         _, runtime = run_digest(spec)
         assert runtime.adversary.state.active is False
 
-    def test_event_engines_install_the_event_adversary(self):
-        from repro.adversary import FastEventAdversary
+    @pytest.mark.parametrize("engine", ("fast", "fast-event"))
+    def test_flat_engines_install_the_indexed_policy(self, engine):
+        from repro.adversary import IndexedAdversary
 
         spec = self.attacked(kind="hub", fraction=0.1)
         runtime = prepare_run(
-            spec, CONFIG, n_nodes=20, seed=1, engine="fast-event"
+            spec, CONFIG, n_nodes=20, seed=1, engine=engine
         )
-        assert isinstance(runtime.engine.adversary, FastEventAdversary)
+        assert isinstance(runtime.engine.adversary, IndexedAdversary)
         runtime.run_to_end()
         # no stop_cycle: the window stays open to the end of the run.
         assert runtime.engine.adversary.active is True
+
+    @pytest.mark.parametrize(
+        "accelerate", (None, False), ids=("default-core", "pure-python")
+    )
+    @pytest.mark.parametrize("engine", ("fast", "fast-event"))
+    def test_never_opened_window_is_the_honest_run(self, engine, accelerate):
+        # The honest backends pay nothing for hooks they do not have: a
+        # placement whose window never opens leaves the backend choice,
+        # every draw and every counter exactly as without it.
+        honest = ScenarioSpec(name="honest", bootstrap="random", cycles=10)
+        dormant = self.attacked(kind="hub", fraction=0.2, start_cycle=99)
+        outcomes = []
+        for spec in (honest, dormant):
+            runtime = prepare_run(
+                spec, CONFIG, n_nodes=40, seed=5, engine=engine,
+                accelerate=accelerate,
+            )
+            runtime.run_to_end()
+            run = runtime.engine
+            outcomes.append((
+                views_digest(run),
+                run.completed_exchanges,
+                run.failed_exchanges,
+                getattr(run, "messages_sent", None),
+                getattr(run, "messages_lost", None),
+                run.rng.getstate(),
+                run._backend()[1:],
+            ))
+        assert outcomes[0] == outcomes[1]
+        assert run.adversary is not None and run._backend()[0] is None
 
     def test_event_node_engine_wraps_attacker_nodes(self):
         from repro.adversary import AdversarialNode

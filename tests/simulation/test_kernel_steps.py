@@ -1,0 +1,263 @@
+"""The exchange kernel's step-level contract.
+
+``FlatArrayEngine.select`` / ``payload`` / ``receive`` are Figure 1
+written once for every array-backed executor.  This module pins them,
+step by step and draw for draw, to the reference node's
+``begin_exchange`` / ``handle_request`` / ``handle_response`` on a
+hand-built population that has seen churn -- and pins each attack hook
+to the point where :class:`~repro.adversary.AdversarialNode` intercepts.
+The engine-pair differential suites then only have to show that an
+executor *schedules* these steps like its reference engine does.
+"""
+
+import pytest
+
+from repro.adversary import AdversarialNode, AdversaryState, IndexedAdversary
+from repro.core.config import ProtocolConfig
+from repro.core.descriptor import NodeDescriptor
+from repro.simulation.engine import CycleEngine
+from repro.simulation.fast import FastCycleEngine
+from repro.workloads import AdversarySpec
+
+VIEW_SIZE = 4
+
+# (address, hop count) rows, hop-count ordered like PartialView keeps them.
+VIEWS = {
+    0: [(1, 0), (2, 1), (3, 1), (5, 4)],
+    1: [(0, 2), (2, 2), (4, 3), (6, 3)],
+    2: [(0, 1), (1, 1)],
+    3: [(5, 0), (4, 2), (0, 2), (7, 5)],
+    4: [(2, 1), (6, 1), (1, 2), (3, 3)],
+    5: [(0, 0)],
+    6: [(7, 1), (5, 1), (2, 2), (0, 6)],
+    7: [(2, 1), (5, 2)],  # after the crashes: dead references only
+}
+
+
+def churned(engine_class, config, omniscient, **kwargs):
+    """The same churned population on either engine.
+
+    Nodes 2 and 5 crash (their descriptors stay behind in other views),
+    node 8 joins afterwards (on the flat store it recycles a freed row)
+    and node 9 joins with an empty view.
+    """
+    engine = engine_class(
+        config, seed=11, omniscient_peer_selection=omniscient, **kwargs
+    )
+    for address in VIEWS:
+        engine.add_node(address)
+    for address, rows in VIEWS.items():
+        engine.node(address).view.replace(
+            [NodeDescriptor(peer, hops) for peer, hops in rows]
+        )
+    engine.remove_node(2)
+    engine.remove_node(5)
+    engine.add_node(8, contacts=[0, 1, 6, 7])
+    engine.add_node(9)
+    return engine
+
+
+def population(label, omniscient):
+    config = ProtocolConfig.from_label(label, VIEW_SIZE)
+    reference = churned(CycleEngine, config, omniscient)
+    flat = churned(FastCycleEngine, config, omniscient, accelerate=False)
+    assert flat._free_rows == [] and len(flat._vlen) == len(VIEWS)  # recycled
+    return reference, flat
+
+
+def state_of(engine):
+    rows = {
+        address: [(d.address, d.hop_count) for d in view]
+        for address, view in engine.views().items()
+    }
+    return rows, engine.rng.getstate()
+
+
+def in_lockstep(reference, flat, nodes, hooks):
+    """One initiation per live node on both sides, compared per step."""
+    id_of = flat._id_of
+    draw = flat.rng.randrange
+    pull = flat.config.pull
+
+    def arrived(payload):
+        # what the receiver holds after its increaseHopCount
+        return (
+            [id_of[d.address] for d in payload],
+            [d.hop_count + 1 for d in payload],
+        )
+
+    exchanges = 0
+    for address in reference.addresses():
+        i = id_of[address]
+        exchange = nodes[address].begin_exchange()
+        p = flat.select(i, draw, hooks)
+        assert state_of(flat) == state_of(reference), address
+        if exchange is None:
+            assert p == -1, address
+            continue
+        assert flat._addr_of[p] == exchange.peer, address
+        request = flat.payload(i, p, False, hooks)
+        assert request == arrived(exchange.payload), address
+        if exchange.peer not in reference:
+            assert not flat._alive[p]  # non-omniscient: the message is lost
+            continue
+        reply = flat.payload(p, i, True, hooks) if pull else None
+        response = nodes[exchange.peer].handle_request(
+            address, exchange.payload
+        )
+        flat.receive(p, i, *request, hooks)
+        assert (response is None) == (reply is None), address
+        if response is not None:
+            assert reply == arrived(response), address
+        assert state_of(flat) == state_of(reference), address
+        if response is not None:
+            nodes[address].handle_response(exchange.peer, response)
+            flat.receive(i, p, *reply, hooks)
+            assert state_of(flat) == state_of(reference), address
+        exchanges += 1
+    return exchanges
+
+
+@pytest.mark.parametrize("validate", ("", ";v"), ids=("plain", "validating"))
+@pytest.mark.parametrize("propagation", ("push", "pull", "pushpull"))
+@pytest.mark.parametrize(
+    "omniscient", (True, False), ids=("omniscient", "non-omniscient")
+)
+@pytest.mark.parametrize("peer_selection", ("head", "rand", "tail"))
+def test_steps_agree_with_the_reference_node(
+    peer_selection, omniscient, propagation, validate
+):
+    label = f"({peer_selection},rand,{propagation}){validate}"
+    reference, flat = population(label, omniscient)
+    nodes = {
+        address: reference.node(address) for address in reference.addresses()
+    }
+    for _ in range(3):  # dead references age and decay across rounds
+        assert in_lockstep(reference, flat, nodes, None) > 0
+
+
+ATTACKERS = (1, 4)
+VICTIMS = (0, 3)
+
+
+def attacked_population(kind, label, omniscient=True):
+    reference, flat = population(label, omniscient)
+    spec = AdversarySpec(
+        kind=kind, attackers=ATTACKERS,
+        victims=VICTIMS if kind == "eclipse" else (),
+    )
+    states = [
+        AdversaryState(
+            spec, ATTACKERS, spec.victims and VICTIMS, rng=engine.rng,
+            is_alive=engine.is_alive, view_size=VIEW_SIZE,
+        )
+        for engine in (reference, flat)
+    ]
+    for state in states:
+        state.active = True
+    nodes = {
+        address: AdversarialNode(reference.node(address), states[0])
+        if address in ATTACKERS
+        else reference.node(address)
+        for address in reference.addresses()
+    }
+    return reference, flat, nodes, IndexedAdversary(flat, states[1])
+
+
+@pytest.mark.parametrize("validate", ("", ";v"), ids=("plain", "validating"))
+@pytest.mark.parametrize("propagation", ("push", "pull", "pushpull"))
+@pytest.mark.parametrize("kind", ("hub", "eclipse", "tamper", "drop"))
+def test_hooks_agree_with_the_adversarial_node(kind, propagation, validate):
+    label = f"(rand,rand,{propagation}){validate}"
+    reference, flat, nodes, hooks = attacked_population(kind, label)
+    assert in_lockstep(reference, flat, nodes, hooks) > 0
+    for victim in VICTIMS:  # eclipse falls back to the honest selection
+        reference.remove_node(victim)
+        flat.remove_node(victim)
+    assert in_lockstep(reference, flat, nodes, hooks) > 0
+
+
+def test_eclipse_retarget_draws_only_for_a_live_victim():
+    _, flat, _, hooks = attacked_population("eclipse", "(head,rand,pushpull)")
+    draws = []
+
+    def draw(n):
+        draws.append(n)
+        return 0
+
+    attacker = flat._id_of[ATTACKERS[0]]
+    assert flat.select(attacker, draw, hooks) == flat._id_of[VICTIMS[0]]
+    assert draws == [len(VICTIMS)]  # head selection itself draws nothing
+    honest = flat._id_of[6]
+    assert flat.select(honest, draw, hooks) == flat._id_of[7]
+    for victim in VICTIMS:
+        flat.remove_node(victim)
+    assert flat.select(attacker, draw, hooks) == flat._id_of[4]
+    assert draws == [len(VICTIMS)]
+
+
+def test_dropping_responder_still_ships_the_empty_reply():
+    _, flat, _, hooks = attacked_population("drop", "(rand,rand,pushpull)")
+    attacker = flat._id_of[ATTACKERS[0]]
+    honest = flat._id_of[0]
+    before = state_of(flat)
+    assert flat.payload(attacker, honest, True, hooks) == ([], [])
+    request = flat.payload(honest, attacker, False, hooks)
+    flat.receive(attacker, honest, *request, hooks)
+    assert state_of(flat) == before  # swallowed unmerged, nothing drawn
+    flat.receive(honest, attacker, [], [], hooks)
+    assert state_of(flat) == before  # the empty reply merges to a no-op
+
+
+class Spy:
+    """Hooks that change nothing and record where they are consulted."""
+
+    def __init__(self, attackers, drops=False):
+        self.attackers = frozenset(attackers)
+        self.drops = drops
+        self.calls = []
+
+    def retarget(self, peer, draw):
+        self.calls.append(("retarget", peer))
+        return peer
+
+    def rewrite(self, sender, receiver, ids, hops, reply):
+        self.calls.append(("rewrite", sender, receiver, len(ids), reply))
+        return ids, hops
+
+
+def test_each_hook_is_consulted_once_where_the_wrapper_intercepts():
+    _, flat = population("(head,rand,pushpull)", omniscient=True)
+    draw = flat.rng.randrange
+    id_of = flat._id_of
+    node, peer, bystander = id_of[6], id_of[7], id_of[0]
+    spy = Spy(attackers=(node, peer, id_of[9]))
+    # no exchange starts: nothing to retarget (empty view; dead-only view)
+    assert flat.select(id_of[9], draw, spy) == -1
+    assert flat.select(peer, draw, spy) == -1
+    assert spy.calls == []
+    # an attacker's exchange starts: one retarget, after the honest selection
+    assert flat.select(node, draw, spy) == peer
+    assert spy.calls == [("retarget", peer)]
+    # an attacker's buffer passes rewrite exactly once before it leaves
+    spy.calls.clear()
+    request = flat.payload(node, peer, False, spy)
+    reply = flat.payload(peer, node, True, spy)
+    assert spy.calls == [
+        ("rewrite", node, peer, len(request[0]), False),
+        ("rewrite", peer, node, len(reply[0]), True),
+    ]
+    # honest nodes never reach a hook, whatever the policy says
+    spy.calls.clear()
+    withholding = Spy(attackers=(peer,), drops=True)
+    flat.select(bystander, draw, withholding)
+    buffer = flat.payload(bystander, peer, False, withholding)
+    before = state_of(flat)
+    flat.receive(node, bystander, *buffer, withholding)
+    assert withholding.calls == [] and state_of(flat) != before
+    # a withholding attacker discards what it is handed, unread
+    before = state_of(flat)
+    flat.receive(peer, node, list(request[0]), list(request[1]), withholding)
+    assert state_of(flat) == before
+    flat.receive(peer, node, *request, spy)
+    assert state_of(flat) != before

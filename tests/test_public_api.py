@@ -49,6 +49,17 @@ def test_subpackages_importable():
     assert repro.workloads.ScenarioSpec is repro.ScenarioSpec
 
 
+def test_adversary_exports_one_indexed_policy():
+    import repro.adversary as adversary
+
+    for name in adversary.__all__:
+        assert getattr(adversary, name) is not None, name
+    assert "IndexedAdversary" in adversary.__all__
+    # the two re-inlined adversarial loops are gone, not kept beside it
+    assert not hasattr(adversary, "FastAdversary")
+    assert not hasattr(adversary, "FastEventAdversary")
+
+
 def test_declarative_workflow():
     runtime = repro.prepare_run(
         repro.ScenarioSpec(bootstrap="random", cycles=5),
