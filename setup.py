@@ -9,10 +9,19 @@ points:
 """
 
 import os
+import re
 
 from setuptools import find_packages, setup
 
-_readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "README.md")
+_here = os.path.dirname(os.path.abspath(__file__))
+
+# The version is stated once, in the package.
+with open(
+    os.path.join(_here, "src", "repro", "__init__.py"), encoding="utf-8"
+) as _fh:
+    _version = re.search(r'^__version__ = "([^"]+)"', _fh.read(), re.M).group(1)
+
+_readme = os.path.join(_here, "README.md")
 if os.path.exists(_readme):
     with open(_readme, encoding="utf-8") as _fh:
         _long_description = _fh.read()
@@ -21,7 +30,7 @@ else:
 
 setup(
     name="repro-peer-sampling",
-    version="1.8.0",
+    version=_version,
     description=(
         "Reproduction of 'The Peer Sampling Service' (Jelasity et al., "
         "Middleware 2004): gossip protocol library, simulation engines, "
@@ -31,6 +40,8 @@ setup(
     long_description_content_type="text/markdown",
     packages=find_packages(where="src"),
     package_dir={"": "src"},
+    # the C core is compiled from source at first use
+    package_data={"repro.simulation": ["*.c", "*.h"]},
     python_requires=">=3.9",
     install_requires=["numpy"],
     extras_require={

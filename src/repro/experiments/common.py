@@ -512,33 +512,3 @@ def autocorrelation_protocols(view_size: int) -> Tuple[ProtocolConfig, ...]:
         ProtocolConfig.from_label(label, view_size) for label in labels
     )
 
-
-# -- run helpers ------------------------------------------------------------------
-
-
-def converged_engine(
-    config: ProtocolConfig,
-    scale: Scale,
-    seed: int,
-    engine: Optional[str] = None,
-) -> BaseEngine:
-    """An engine bootstrapped randomly and run for ``scale.cycles`` cycles.
-
-    This is the "converged overlay in cycle 300 of the random
-    initialization scenario" that Sections 6 and 7 start from.  A thin
-    shim over the declarative workload API: the run executes the
-    ``random-convergence`` scenario through
-    :func:`repro.workloads.prepare_run` on the engine selected by
-    ``engine`` / ``$REPRO_ENGINE`` (same overlay for the same seed on
-    every cycle-family engine).
-    """
-    from repro.workloads import named_scenario, prepare_run
-
-    runtime = prepare_run(
-        named_scenario("random-convergence", scale),
-        config,
-        scale=scale,
-        seed=seed,
-        engine=engine,
-    )
-    return runtime.run_to_end()

@@ -14,7 +14,9 @@ phases with keyed draws.  An attack is a set of hooks on the same steps
 (:class:`~repro.adversary.harness.IndexedAdversary`), consulted only
 while its window is open; :meth:`FlatArrayEngine._backend` is the one
 rule that decides whether a cycle runs these Python steps or the C core
-(whose loops mirror them, pinned by the differential suites).
+(whose ``k_select`` / ``k_payload`` / ``k_receive`` mirror them one for
+one, pinned by ``tests/simulation/test_kernel_steps.py``, and whose entry
+points are likewise only schedulers).
 
 Mapping back to Figure 1 of the paper
 -------------------------------------
@@ -103,7 +105,11 @@ from repro.core.errors import (
 from repro.core.policies import PeerSelection, ViewSelection
 from repro.core.view import merge
 from repro.defenses.validation import sanitize_indexed
-from repro.simulation._fastcore import Accelerator, load_accelerator
+from repro.simulation._fastcore import (
+    Accelerator,
+    load_accelerator,
+    unavailable_reason,
+)
 from repro.simulation.base import BaseEngine
 
 __all__ = ["FlatArrayEngine", "FastNode", "FastViewProxy"]
@@ -352,16 +358,10 @@ class FlatArrayEngine(BaseEngine):
         ``None`` (default): use the compiled C core when available,
         falling back to pure Python silently.  ``False``: never use the C
         core.  ``True``: require it (raises
-        :class:`~repro.core.errors.ConfigurationError` when no C compiler
-        is usable).  Both backends produce byte-identical results.
-    accelerator:
-        An explicit :class:`~repro.simulation._fastcore.Accelerator` to
-        drive instead of the process-wide shared one -- in particular a
-        *private* instance (``load_accelerator(private=True)``), whose C
-        globals are not shared with any other engine, so two engines can
-        run their C hot loops concurrently from different threads (the
-        ctypes calls release the GIL).  Takes precedence over
-        ``accelerate``.
+        :class:`~repro.core.errors.ConfigurationError`, naming the
+        reason, when it cannot be built).  Both backends produce
+        byte-identical results.  Every engine owns its C-side state, so
+        engines may run concurrently in threads of one process.
     """
 
     shuffle_each_cycle: bool = True
@@ -377,7 +377,6 @@ class FlatArrayEngine(BaseEngine):
         node_factory=None,
         omniscient_peer_selection: bool = True,
         accelerate: Optional[bool] = None,
-        accelerator: Optional[Accelerator] = None,
     ) -> None:
         if node_factory is not None:
             raise ConfigurationError(
@@ -391,17 +390,18 @@ class FlatArrayEngine(BaseEngine):
             omniscient_peer_selection=omniscient_peer_selection,
         )
         assert self.config is not None
-        if accelerator is not None:
-            self._accel: Optional[Accelerator] = accelerator
-        elif accelerate is False:
-            self._accel = None
-        else:
-            self._accel = load_accelerator()
-            if accelerate is True and self._accel is None:
-                raise ConfigurationError(
-                    "accelerate=True but no C accelerator is available "
-                    "(no usable C compiler, or REPRO_NO_ACCEL is set)"
-                )
+        self._accel: Optional[Accelerator] = (
+            None if accelerate is False else load_accelerator()
+        )
+        if accelerate is True and self._accel is None:
+            raise ConfigurationError(
+                "accelerate=True but no C accelerator is available: "
+                + unavailable_reason()
+            )
+        # The engine's own C-side state (MT19937, registrations, scratch).
+        self._ctx = (
+            self._accel.context(self) if self._accel is not None else None
+        )
         # id-indexed state (permanent: ids are never reused).
         self._addr_of: List[Address] = []
         self._id_of: Dict[Address, int] = {}
@@ -495,13 +495,14 @@ class FlatArrayEngine(BaseEngine):
     def _accel_setup(self, accel: Accelerator) -> None:
         """Register the engine's buffers and protocol with the C core.
 
-        Must be re-issued whenever a buffer may have moved (any growth)
-        or another engine used the core in between; the cycle engine
-        simply calls it once per accelerated entry point.
+        Must be re-issued whenever a buffer may have moved (any growth);
+        the cycle engine simply calls it once per accelerated entry
+        point.
         """
         config = self.config
         pointer = Accelerator.pointer
-        accel.setup(
+        status = accel.setup(
+            self._ctx,
             pointer(self._vids.buffer_info()[0]),
             pointer(self._vhops.buffer_info()[0]),
             pointer(self._vlen.buffer_info()[0]),
@@ -518,6 +519,8 @@ class FlatArrayEngine(BaseEngine):
             int(self.omniscient_peer_selection),
             int(self.shuffle_each_cycle),
         )
+        if status:
+            raise MemoryError("cannot allocate the C core scratch buffers")
 
     # -- population management --------------------------------------------
 
@@ -695,7 +698,9 @@ class FlatArrayEngine(BaseEngine):
         state_before = rng.getstate()
         state = array("q", state_before[1])
         self._accel_setup(accel)
-        accel.bootstrap(n, k, fill, Accelerator.pointer(state.buffer_info()[0]))
+        accel.bootstrap(
+            self._ctx, n, k, fill, Accelerator.pointer(state.buffer_info()[0])
+        )
         rng.setstate((state_before[0], tuple(state), state_before[2]))
 
     # -- introspection ----------------------------------------------------

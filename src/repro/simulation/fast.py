@@ -26,8 +26,10 @@ Because the kernel arrays are plain C ``int64`` memory, the cycle loop
 itself has two interchangeable implementations:
 
 - an optional C core (:mod:`repro.simulation._fastcore`), compiled once
-  with the system C compiler, that runs entire cycles natively -- orders
-  of magnitude faster than the reference engine;
+  with the system C compiler, whose ``fc_run_cycle`` is the same
+  scheduler over the C steps ``k_select`` / ``k_payload`` / ``k_receive``
+  and runs entire cycles natively -- orders of magnitude faster than the
+  reference engine;
 - the kernel's Python steps, used when no compiler is available (or
   ``REPRO_NO_ACCEL`` is set), under a ``reachable`` predicate or
   descriptor validation, and -- with the attack hooks -- while an
@@ -136,6 +138,7 @@ class FastCycleEngine(FlatArrayEngine):
         pointer = Accelerator.pointer
         self._accel_setup(accel)
         accel.run_cycle(
+            self._ctx,
             pointer(order.buffer_info()[0]),
             len(order),
             pointer(state.buffer_info()[0]),

@@ -53,16 +53,18 @@ protocol steps it dispatches to come from one of two small backends:
 - :class:`_KernelSteps` -- the kernel's Python ``select`` / ``payload``
   / ``receive`` steps, with the attack hooks when a window is open;
 - :class:`_CoreSteps` -- one C call per protocol step
-  (``fc_event_begin`` / ``fc_event_deliver``) with the Mersenne Twister
-  state *resident* in C between cycle boundaries; the loop's own draws
-  (loss, latency) go through a bit-exact C-backed ``random.Random``
+  (``fc_event_begin`` = ``k_select`` + ``k_payload``,
+  ``fc_event_deliver`` = ``k_payload`` + ``k_receive``) with the Mersenne
+  Twister state *resident* in C between cycle boundaries; the loop's own
+  draws (loss, latency) go through a bit-exact C-backed ``random.Random``
   facade, so the logical RNG stream stays seamless.  This is what keeps
   partition/heal specs and custom latency/loss models fast.
 
 A third executor bypasses the Python loop altogether: with the built-in
-models and no ``reachable`` predicate, ``fc_event_run`` runs the whole
-dispatch loop (heap included) natively and returns to Python only at
-cycle boundaries (:meth:`FastEventEngine._run_events_c_full`).
+models and no ``reachable`` predicate, ``fc_event_run`` -- the same
+scheduler over the same C steps, heap and send tail included -- runs the
+whole dispatch loop natively and returns to Python only at cycle
+boundaries (:meth:`FastEventEngine._run_events_c_full`).
 
 Which one runs is decided by the kernel's single rule
 (:meth:`~repro.simulation.arrayviews.FlatArrayEngine._backend`) and
@@ -89,6 +91,7 @@ from __future__ import annotations
 
 import random
 from array import array
+from functools import partial
 from heapq import heapify, heappop, heappush
 from typing import Optional
 
@@ -139,17 +142,18 @@ class _AcceleratorRandom(random.Random):
     latency/loss models stay deterministic and seamless.
     """
 
-    def __init__(self, accel: Accelerator) -> None:
-        self._accel = accel
+    def __init__(self, accel: Accelerator, ctx: int) -> None:
+        self._rand_double = partial(accel.rand_double, ctx)
+        self._rand_bits = partial(accel.rand_bits, ctx)
         super().__init__()
 
     def random(self) -> float:
-        return self._accel.rand_double()
+        return self._rand_double()
 
     def getrandbits(self, k: int) -> int:
         if k <= 0:
             raise ValueError("number of bits must be greater than zero")
-        rand_bits = self._accel.rand_bits
+        rand_bits = self._rand_bits
         if k <= 32:
             return rand_bits(k)
         # CPython fills 32-bit words least-significant first, shifting the
@@ -168,11 +172,9 @@ class _KernelSteps:
 
     Speaks the calling convention of the C entry points it stands in for
     (``fc_event_begin`` / ``fc_event_deliver``): payloads travel through
-    message slots, the selected peer comes back in ``out[0]``.  ``hooks``
-    is the active attack policy, or ``None``.
+    message slots, ``begin`` returns the selected peer.  ``hooks`` is the
+    active attack policy, or ``None``.
     """
-
-    out_ptr = None
 
     def __init__(self, engine: "FastEventEngine", hooks) -> None:
         rng = self.rng = engine.rng
@@ -187,7 +189,6 @@ class _KernelSteps:
         m_hops = engine._m_hops
         m_len = engine._m_len
         m_src = engine._m_src
-        out = engine._c_out
 
         def store(slot: int, ids, hops) -> None:
             n = m_len[slot] = len(ids)
@@ -196,13 +197,14 @@ class _KernelSteps:
                 m_ids[off:off + n] = array("q", ids)
                 m_hops[off:off + n] = array("q", hops)
 
-        def begin(node: int, slot: int, _out) -> None:
-            peer = out[0] = select(node, draw, hooks)
+        def begin(node: int, slot: int) -> int:
+            peer = select(node, draw, hooks)
             if peer >= 0:
                 ids, hops = payload(node, peer, False, hooks)
                 store(slot, ids, hops)
+            return peer
 
-        def deliver(node: int, slot: int, reply_slot: int, _out) -> None:
+        def deliver(node: int, slot: int, reply_slot: int) -> None:
             sender = m_src[slot]
             if reply_slot >= 0:
                 ids, hops = payload(node, sender, True, hooks)
@@ -239,11 +241,11 @@ class _CoreSteps:
         self._engine = engine
         self._accel = accel
         self._resident = False
+        ctx = engine._ctx
         self.rng = engine._c_rng
-        self.rand = accel.rand_double
-        self.begin = accel.event_begin
-        self.deliver = accel.event_deliver
-        self.out_ptr = Accelerator.pointer(engine._c_out.buffer_info()[0])
+        self.rand = self.rng._rand_double
+        self.begin = partial(accel.event_begin, ctx)
+        self.deliver = partial(accel.event_deliver, ctx)
         self._state_ptr = Accelerator.pointer(
             engine._rstate.buffer_info()[0]
         )
@@ -268,20 +270,20 @@ class _CoreSteps:
         return slot
 
     def enter(self) -> None:
-        """Register the buffers (observers may have grown them or driven
-        another accelerated engine) and move the MT state into C."""
+        """Register the buffers (observers may have grown them) and move
+        the MT state into C."""
         engine = self._engine
         self._register()
         self._version, internal, self._gauss = engine.rng.getstate()
         engine._rstate[:] = array("q", internal)
-        self._accel.load_state(self._state_ptr)
+        self._accel.load_state(engine._ctx, self._state_ptr)
         self._resident = True
 
     def leave(self) -> None:
         """Hand the MT state back to the Python ``Random`` (idempotent)."""
         if self._resident:
             self._resident = False
-            self._accel.store_state(self._state_ptr)
+            self._accel.store_state(self._engine._ctx, self._state_ptr)
             self._engine.rng.setstate(
                 (self._version, tuple(self._engine._rstate), self._gauss)
             )
@@ -304,13 +306,6 @@ class FastEventEngine(FlatArrayEngine):
         Per-message drop model (default: no loss).
     accelerate:
         As in :class:`~repro.simulation.fast.FastCycleEngine`.
-    accelerator:
-        An explicit (e.g. *private*) C-core instance -- see
-        :class:`~repro.simulation.arrayviews.FlatArrayEngine`.  With a
-        private instance per engine, several engines can run their C
-        event loops concurrently from different threads: ``fc_event_run``
-        executes without the GIL (ctypes releases it for the duration of
-        the call) and touches only its own library's globals.
     ticks_per_period:
         Integer tick resolution of the scheduler (see module docstring).
     lockstep_phases:
@@ -349,7 +344,6 @@ class FastEventEngine(FlatArrayEngine):
         loss: Optional[LossModel] = None,
         omniscient_peer_selection: bool = True,
         accelerate: Optional[bool] = None,
-        accelerator: Optional[Accelerator] = None,
         ticks_per_period: int = DEFAULT_TICKS_PER_PERIOD,
         lockstep_phases: bool = False,
     ) -> None:
@@ -360,7 +354,6 @@ class FastEventEngine(FlatArrayEngine):
             node_factory=node_factory,
             omniscient_peer_selection=omniscient_peer_selection,
             accelerate=accelerate,
-            accelerator=accelerator,
         )
         if period <= 0:
             raise ValueError(f"period must be > 0, got {period}")
@@ -392,10 +385,11 @@ class FastEventEngine(FlatArrayEngine):
         # for the whole-slice C loop.
         self._pool_fresh = 0
         # scratch for the accelerated path
-        self._c_out = array("q", (0, 0))
         self._rstate = array("q", bytes(8 * 625))
         self._c_rng = (
-            _AcceleratorRandom(self._accel) if self._accel is not None else None
+            _AcceleratorRandom(self._accel, self._ctx)
+            if self._accel is not None
+            else None
         )
 
     # -- clocks ------------------------------------------------------------
@@ -476,6 +470,7 @@ class FastEventEngine(FlatArrayEngine):
         """Register the message pool buffers with the C core."""
         pointer = Accelerator.pointer
         accel.event_setup(
+            self._ctx,
             pointer(self._m_ids.buffer_info()[0]),
             pointer(self._m_hops.buffer_info()[0]),
             pointer(self._m_len.buffer_info()[0]),
@@ -648,8 +643,6 @@ class FastEventEngine(FlatArrayEngine):
         new_slot = steps.new_slot
         rng = steps.rng
         rand = steps.rand
-        out = self._c_out
-        out_ptr = steps.out_ptr
         sched = self._sched
         heap = sched._heap
         tick_shift = sched._tick_shift
@@ -739,8 +732,7 @@ class FastEventEngine(FlatArrayEngine):
                     if not alive[src]:
                         continue  # crashed: the timer dies with the node
                     slot = free_pop() if free_slots else new_slot()
-                    begin(src, slot, out_ptr)
-                    dst = out[0]
+                    dst = begin(src, slot)
                     if dst >= 0:
                         out_slot = slot
                         kind = _REQUEST
@@ -755,7 +747,7 @@ class FastEventEngine(FlatArrayEngine):
                         continue
                     if data >= _REPLY:
                         # second half of the active thread
-                        deliver(src, slot, -1, out_ptr)
+                        deliver(src, slot, -1)
                     else:
                         # the passive thread; under pull its reply
                         # snapshot precedes the merge (Figure 1).
@@ -765,7 +757,7 @@ class FastEventEngine(FlatArrayEngine):
                             )
                             dst = m_src[slot]
                             kind = _REPLY
-                        deliver(src, slot, out_slot, out_ptr)
+                        deliver(src, slot, out_slot)
                         completed += 1
                     free_append(slot)
 
@@ -872,6 +864,7 @@ class FastEventEngine(FlatArrayEngine):
         tick_scale = self._tick_scale
         rng = self.rng
         pointer = Accelerator.pointer
+        ctx = self._ctx
 
         # heap migration: positional copy into (tick, seq, data) arrays.
         n = len(heap)
@@ -909,12 +902,13 @@ class FastEventEngine(FlatArrayEngine):
         self._ptr_dirty = False
         version, internal, gauss = rng.getstate()
         state[:] = array("q", internal)
-        accel.load_state(state_ptr)
+        accel.load_state(ctx, state_ptr)
         resident = True
         try:
             while True:
                 boundary = (self._boundary_index + 1) * ticks_per_period
                 reason = accel.event_run(
+                    ctx,
                     end,
                     boundary,
                     pointer(ht.buffer_info()[0]),
@@ -949,7 +943,7 @@ class FastEventEngine(FlatArrayEngine):
                     counters[0] = counters[1] = counters[2] = counters[3] = 0
                     sched._seq = seq_io[0]
                     sched.now_tick = now_io[0]
-                    accel.store_state(state_ptr)
+                    accel.store_state(ctx, state_ptr)
                     rng.setstate((version, tuple(state), gauss))
                     resident = False
                     self._fire_boundaries(top_tick[0])
@@ -979,7 +973,7 @@ class FastEventEngine(FlatArrayEngine):
                                 hlen_ptr,
                             )
                         heap.clear()
-                    accel.load_state(state_ptr)
+                    accel.load_state(ctx, state_ptr)
                     resident = True
                     if self._backend() != (None, accel, codes):
                         # an observer opened an attack window, installed
@@ -1002,7 +996,7 @@ class FastEventEngine(FlatArrayEngine):
                     raise RuntimeError(f"fc_event_run returned {reason}")
         finally:
             if resident:
-                accel.store_state(state_ptr)
+                accel.store_state(ctx, state_ptr)
                 rng.setstate((version, tuple(state), gauss))
             self.completed_exchanges += counters[0]
             self.failed_exchanges += counters[1]

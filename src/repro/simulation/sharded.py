@@ -44,10 +44,12 @@ a **stateless counter RNG**: a splitmix64 chain keyed by
 ``(phase_seed, purpose, round, node, source)``.  No draw depends on any
 other draw, on iteration order, or on which process evaluates it -- so
 the results are a pure function of ``(seed, protocol, scenario)`` and
-are *identical for every shard count K*, every backend (C or pure
-Python) and every process placement.  The differential suite pins
-``K in {1, 2, 4}``, both backends and the multi-process path to the
-in-process serial execution of the same rounds.
+are *identical for every shard count K*, every backend (the kernel's
+Python steps, or the C phases that schedule ``k_select`` / ``k_payload``
+/ ``k_receive`` in ``_fastcore.c``) and every process placement.  The
+differential suite pins ``K in {1, 2, 4}``, both backends and the
+multi-process path to the in-process serial execution of the same
+rounds.
 
 Shared-memory discipline
 ------------------------
@@ -122,8 +124,8 @@ def resolve_shards(shards: Optional[int] = None) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
-# Keyed counter RNG: the Python mirror of the C `fs_*` helpers in
-# _fastcore.py.  Both implementations must match bit for bit -- the
+# Keyed counter RNG: the Python mirror of the C keyed draw stream in
+# _fastcore.c.  Both implementations must match bit for bit -- the
 # differential suite compares full overlays across backends.
 # ---------------------------------------------------------------------------
 
@@ -158,9 +160,9 @@ def _fs_below(key: int, t: int, n: int) -> int:
 def _keyed_sampler(key: int):
     """A ``(m, k) -> positions`` sampler fed by the counter stream.
 
-    Same pool algorithm as the C ``fs_sample`` (and the same shape as
-    CPython's ``random.sample`` pool path), so C and Python merges pick
-    identical RAND truncations.
+    Same pool algorithm as the C ``sample_range`` over a keyed stream
+    (and the same shape as CPython's ``random.sample`` pool path), so C
+    and Python merges pick identical RAND truncations.
     """
 
     def sample(m: int, k: int) -> List[int]:
@@ -353,10 +355,11 @@ class ShmVector:
 # ---------------------------------------------------------------------------
 # The round phases, pure-Python backend: the kernel's exchange steps
 # (`FlatArrayEngine.select` / `payload` / `receive`) scheduled as BSP
-# phases and fed the keyed draws.  The C kernels `fs_request_phase` /
-# `fs_deliver` in _fastcore.py mirror them operation for operation;
-# `store` is either the engine itself (serial path) or a worker's
-# _ShmKernel shell -- both expose the steps.
+# phases and fed the keyed draws.  The C phases `fs_request_phase` /
+# `fs_deliver` in _fastcore.c are the same schedulers over the C steps
+# `k_select` / `k_payload` / `k_receive`; `store` is either the engine
+# itself (serial path) or a worker's _ShmKernel shell -- both expose the
+# steps.
 # ---------------------------------------------------------------------------
 
 # Message record: (src, dst, payload_ids, payload_hops); payload hop
@@ -475,7 +478,7 @@ def _deliver_c(accel, store, seed, rnd, is_request, shard, nshards,
     out = array("q", (0, 0, 0))
     pointer = Accelerator.pointer
     accel.shard_deliver(
-        seed, rnd, 1 if is_request else 0, shard, nshards,
+        store._ctx, seed, rnd, 1 if is_request else 0, shard, nshards,
         pointer(addrs.buffer_info()[0]),
         pointer(cnts.buffer_info()[0]),
         len(boxes),
@@ -498,7 +501,8 @@ class _ShmKernel:
 
     Just enough flat-array attributes for the kernel's exchange steps
     and ``_accel_setup`` -- borrowed unbound from
-    :class:`FlatArrayEngine` -- to run against attached segments.
+    :class:`FlatArrayEngine` -- to run against attached segments, plus
+    (with the C core) the worker's own C-side context.
     ``rng`` stays ``None`` on purpose: every draw on the sharded path is
     keyed, so touching the engine RNG from a worker would be a bug, and
     fails loudly.
@@ -512,10 +516,16 @@ class _ShmKernel:
     _merge_into = FlatArrayEngine._merge_into
     _accel_setup = FlatArrayEngine._accel_setup
 
-    def __init__(self, config: ProtocolConfig, omniscient: bool) -> None:
+    def __init__(
+        self,
+        config: ProtocolConfig,
+        omniscient: bool,
+        accel: Optional[Accelerator],
+    ) -> None:
         self.config = config
         self.omniscient_peer_selection = omniscient
         self.rng = None
+        self._ctx = accel.context(self) if accel is not None else None
         self._vids = None
         self._vhops = None
         self._vlen = None
@@ -563,7 +573,7 @@ def _worker_main(shard, nshards, conn, config, phase_seed, omniscient,
     ``("drep", rnd, counts)`` -> ``"ok"``; ``("stop",)`` exits.
     """
     accel = load_accelerator() if use_accel else None
-    shell = _ShmKernel(config, omniscient)
+    shell = _ShmKernel(config, omniscient, accel)
     attachments: Dict[object, ShmVector] = {}
     req_boxes: List[ShmVector] = []
     rep_boxes: List[ShmVector] = []
@@ -590,7 +600,7 @@ def _worker_main(shard, nshards, conn, config, phase_seed, omniscient,
                 if accel is not None:
                     shell._accel_setup(accel)
                     n = accel.shard_request(
-                        phase_seed, rnd, shard, nshards, n_ids,
+                        shell._ctx, phase_seed, rnd, shard, nshards, n_ids,
                         pointer(box.buffer_info()[0]))
                 else:
                     messages, _ = _phase_request_py(
@@ -704,7 +714,6 @@ class ShardedCycleEngine(FlatArrayEngine):
         node_factory=None,
         omniscient_peer_selection: bool = True,
         accelerate: Optional[bool] = None,
-        accelerator: Optional[Accelerator] = None,
         shards: Optional[int] = None,
     ) -> None:
         super().__init__(
@@ -714,7 +723,6 @@ class ShardedCycleEngine(FlatArrayEngine):
             node_factory=node_factory,
             omniscient_peer_selection=omniscient_peer_selection,
             accelerate=accelerate,
-            accelerator=accelerator,
         )
         if self.config is not None and self.config.validate_descriptors:
             raise ConfigurationError(
@@ -799,7 +807,7 @@ class ShardedCycleEngine(FlatArrayEngine):
             self._ser_rep = array("q", bytes(nbytes)) if pull else None
         self._accel_setup(accel)
         nreq = accel.shard_request(
-            self._phase_seed, rnd, 0, 1, n_ids,
+            self._ctx, self._phase_seed, rnd, 0, 1, n_ids,
             Accelerator.pointer(self._ser_req.buffer_info()[0]))
         out = _deliver_c(
             accel, self, self._phase_seed, rnd, True, 0, 1,

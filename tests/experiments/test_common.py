@@ -8,7 +8,6 @@ from repro.experiments.common import (
     SCALES,
     Scale,
     autocorrelation_protocols,
-    converged_engine,
     current_scale,
     engine_class,
     growing_plot_protocols,
@@ -21,6 +20,16 @@ from repro.simulation.engine import CycleEngine
 from repro.simulation.event_engine import EventEngine
 from repro.simulation.fast import FastCycleEngine
 from repro.simulation.fast_event import FastEventEngine
+from repro.workloads import named_scenario, prepare_run
+
+
+def converged(config, scale, seed, engine=None):
+    """The random-convergence scenario, run to its end."""
+    runtime = prepare_run(
+        named_scenario("random-convergence", scale),
+        config, scale=scale, seed=seed, engine=engine,
+    )
+    return runtime.run_to_end()
 
 
 class TestScales:
@@ -102,7 +111,7 @@ class TestConvergedEngine:
         )
         from repro.core.config import newscast
 
-        engine = converged_engine(newscast(6), scale, seed=0)
+        engine = converged(newscast(6), scale, seed=0)
         assert engine.cycle == 5
         assert len(engine) == 40
 
@@ -201,7 +210,7 @@ class TestEngineSelection:
             clustering_sample=None,
             path_sources=None,
         )
-        engine = converged_engine(newscast(6), scale, seed=0, engine="fast")
+        engine = converged(newscast(6), scale, seed=0, engine="fast")
         assert isinstance(engine, FastCycleEngine)
         assert engine.cycle == 3
 

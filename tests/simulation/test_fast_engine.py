@@ -57,6 +57,31 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             make_engine(accelerate=True)
 
+    def test_rejected_build_is_reported_not_misreported(
+        self, monkeypatch, tmp_path
+    ):
+        # A compiler that runs and rejects the source is not "no usable
+        # C compiler": accelerate=True must say what cc said.
+        import repro.simulation._fastcore as fastcore
+
+        stub = tmp_path / "bin" / "cc"
+        stub.parent.mkdir()
+        stub.write_text(
+            "#!/bin/sh\necho 'stub cc: source rejected' >&2\nexit 1\n"
+        )
+        stub.chmod(0o755)
+        monkeypatch.setenv("PATH", str(stub.parent))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        monkeypatch.delenv(fastcore.DISABLE_ENV_VAR, raising=False)
+        monkeypatch.setattr(fastcore, "_attempted", False)
+        monkeypatch.setattr(fastcore, "_cached", None)
+        monkeypatch.setattr(fastcore, "_failure", "")
+        with pytest.raises(
+            ConfigurationError, match="status 1: stub cc: source rejected"
+        ):
+            make_engine(accelerate=True)
+        assert not make_engine().accelerated  # accelerate=None: silent
+
 
 class TestPopulation:
     def test_add_node_auto_addresses_are_consecutive(self):

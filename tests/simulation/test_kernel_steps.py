@@ -1,13 +1,17 @@
 """The exchange kernel's step-level contract.
 
 ``FlatArrayEngine.select`` / ``payload`` / ``receive`` are Figure 1
-written once for every array-backed executor.  This module pins them,
-step by step and draw for draw, to the reference node's
-``begin_exchange`` / ``handle_request`` / ``handle_response`` on a
-hand-built population that has seen churn -- and pins each attack hook
-to the point where :class:`~repro.adversary.AdversarialNode` intercepts.
-The engine-pair differential suites then only have to show that an
-executor *schedules* these steps like its reference engine does.
+written once for every array-backed executor, and ``k_select`` /
+``k_payload`` / ``k_receive`` in ``_fastcore.c`` are their C mirror.
+This module pins both, step by step and draw for draw, to the reference
+node's ``begin_exchange`` / ``handle_request`` / ``handle_response`` on
+a hand-built population that has seen churn -- through the event
+engine's two step backends, which expose exactly one step per call:
+``_KernelSteps`` (the Python steps) and ``_CoreSteps`` (the C steps via
+``fc_event_begin`` / ``fc_event_deliver``).  It also pins each attack
+hook to the point where :class:`~repro.adversary.AdversarialNode`
+intercepts.  The engine-pair differential suites then only have to show
+that an executor *schedules* these steps like its reference engine does.
 """
 
 import pytest
@@ -15,9 +19,16 @@ import pytest
 from repro.adversary import AdversarialNode, AdversaryState, IndexedAdversary
 from repro.core.config import ProtocolConfig
 from repro.core.descriptor import NodeDescriptor
+from repro.simulation._fastcore import load_accelerator
 from repro.simulation.engine import CycleEngine
-from repro.simulation.fast import FastCycleEngine
+from repro.simulation.fast_event import (
+    FastEventEngine,
+    _CoreSteps,
+    _KernelSteps,
+)
 from repro.workloads import AdversarySpec
+
+HAVE_ACCEL = load_accelerator() is not None
 
 VIEW_SIZE = 4
 
@@ -57,10 +68,14 @@ def churned(engine_class, config, omniscient, **kwargs):
     return engine
 
 
-def population(label, omniscient):
+def population(label, omniscient, accelerate=False):
     config = ProtocolConfig.from_label(label, VIEW_SIZE)
     reference = churned(CycleEngine, config, omniscient)
-    flat = churned(FastCycleEngine, config, omniscient, accelerate=False)
+    # lockstep phases: joining draws nothing, like on the cycle reference
+    flat = churned(
+        FastEventEngine, config, omniscient,
+        accelerate=accelerate, lockstep_phases=True,
+    )
     assert flat._free_rows == [] and len(flat._vlen) == len(VIEWS)  # recycled
     return reference, flat
 
@@ -73,11 +88,32 @@ def state_of(engine):
     return rows, engine.rng.getstate()
 
 
-def in_lockstep(reference, flat, nodes, hooks):
-    """One initiation per live node on both sides, compared per step."""
+def in_lockstep(reference, flat, nodes, steps):
+    """One initiation per live node on both sides, compared per step.
+
+    ``steps`` is a dispatch-loop step backend: ``begin`` is select +
+    request payload, ``deliver`` is reply payload + receive, buffers
+    travel through the engine's message slots.  The C backend keeps the
+    MT state resident between ``enter`` and ``leave``, so every step is
+    bracketed and the Python ``Random`` is comparable in between.
+    """
     id_of = flat._id_of
-    draw = flat.rng.randrange
     pull = flat.config.pull
+    stride = flat._slot_stride
+    request_slot, reply_slot = steps.new_slot(), steps.new_slot()
+
+    def step(call, *args):
+        steps.enter()
+        try:
+            return call(*args)
+        finally:
+            steps.leave()
+
+    def shipped(slot, sender):
+        flat._m_src[slot] = sender  # the loop's send tail records it
+        off = slot * stride
+        end = off + flat._m_len[slot]
+        return flat._m_ids[off:end].tolist(), flat._m_hops[off:end].tolist()
 
     def arrived(payload):
         # what the receiver holds after its increaseHopCount
@@ -90,50 +126,67 @@ def in_lockstep(reference, flat, nodes, hooks):
     for address in reference.addresses():
         i = id_of[address]
         exchange = nodes[address].begin_exchange()
-        p = flat.select(i, draw, hooks)
+        p = step(steps.begin, i, request_slot)
         assert state_of(flat) == state_of(reference), address
         if exchange is None:
             assert p == -1, address
             continue
         assert flat._addr_of[p] == exchange.peer, address
-        request = flat.payload(i, p, False, hooks)
-        assert request == arrived(exchange.payload), address
+        assert shipped(request_slot, i) == arrived(exchange.payload), address
         if exchange.peer not in reference:
             assert not flat._alive[p]  # non-omniscient: the message is lost
             continue
-        reply = flat.payload(p, i, True, hooks) if pull else None
         response = nodes[exchange.peer].handle_request(
             address, exchange.payload
         )
-        flat.receive(p, i, *request, hooks)
-        assert (response is None) == (reply is None), address
+        step(steps.deliver, p, request_slot, reply_slot if pull else -1)
+        assert (response is None) == (not pull), address
         if response is not None:
-            assert reply == arrived(response), address
+            assert shipped(reply_slot, p) == arrived(response), address
         assert state_of(flat) == state_of(reference), address
         if response is not None:
             nodes[address].handle_response(exchange.peer, response)
-            flat.receive(i, p, *reply, hooks)
+            step(steps.deliver, i, reply_slot, -1)
             assert state_of(flat) == state_of(reference), address
         exchanges += 1
     return exchanges
 
 
-@pytest.mark.parametrize("validate", ("", ";v"), ids=("plain", "validating"))
+# The C steps neither validate nor take hooks: _backend() never selects
+# them for a ``;v`` protocol or inside an attack window.
+STEP_BACKENDS = (
+    pytest.param(False, "", id="python-plain"),
+    pytest.param(False, ";v", id="python-validating"),
+    pytest.param(
+        True, "", id="c-plain",
+        marks=pytest.mark.skipif(
+            not HAVE_ACCEL, reason="no C compiler available"
+        ),
+    ),
+)
+
+
+@pytest.mark.parametrize("accelerate, validate", STEP_BACKENDS)
 @pytest.mark.parametrize("propagation", ("push", "pull", "pushpull"))
 @pytest.mark.parametrize(
     "omniscient", (True, False), ids=("omniscient", "non-omniscient")
 )
 @pytest.mark.parametrize("peer_selection", ("head", "rand", "tail"))
 def test_steps_agree_with_the_reference_node(
-    peer_selection, omniscient, propagation, validate
+    peer_selection, omniscient, propagation, accelerate, validate
 ):
     label = f"({peer_selection},rand,{propagation}){validate}"
-    reference, flat = population(label, omniscient)
+    reference, flat = population(label, omniscient, accelerate)
     nodes = {
         address: reference.node(address) for address in reference.addresses()
     }
+    steps = (
+        _CoreSteps(flat, flat._accel)
+        if accelerate
+        else _KernelSteps(flat, None)
+    )
     for _ in range(3):  # dead references age and decay across rounds
-        assert in_lockstep(reference, flat, nodes, None) > 0
+        assert in_lockstep(reference, flat, nodes, steps) > 0
 
 
 ATTACKERS = (1, 4)
@@ -170,11 +223,12 @@ def attacked_population(kind, label, omniscient=True):
 def test_hooks_agree_with_the_adversarial_node(kind, propagation, validate):
     label = f"(rand,rand,{propagation}){validate}"
     reference, flat, nodes, hooks = attacked_population(kind, label)
-    assert in_lockstep(reference, flat, nodes, hooks) > 0
+    steps = _KernelSteps(flat, hooks)
+    assert in_lockstep(reference, flat, nodes, steps) > 0
     for victim in VICTIMS:  # eclipse falls back to the honest selection
         reference.remove_node(victim)
         flat.remove_node(victim)
-    assert in_lockstep(reference, flat, nodes, hooks) > 0
+    assert in_lockstep(reference, flat, nodes, steps) > 0
 
 
 def test_eclipse_retarget_draws_only_for_a_live_victim():

@@ -7,6 +7,18 @@ def test_version():
     assert repro.__version__ == "1.9.0"
 
 
+def test_c_source_ships_next_to_its_loader():
+    # package data: the installed module compiles this file at first use
+    import os
+
+    from repro.simulation import _fastcore
+
+    assert os.path.dirname(_fastcore._SOURCE_PATH) == os.path.dirname(
+        os.path.abspath(_fastcore.__file__)
+    )
+    assert os.path.isfile(_fastcore._SOURCE_PATH)
+
+
 def test_all_exports_resolve():
     for name in repro.__all__:
         assert getattr(repro, name) is not None, name
