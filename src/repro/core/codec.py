@@ -54,8 +54,6 @@ SUPPORTED_WIRE_VERSIONS = (WIRE_FORMAT_VERSION, WIRE_FORMAT_V2)
 MAX_MESSAGE_BYTES = 1 << 20  # 1 MiB: a view message is a few KiB at most
 """Hard cap applied on both encode and decode."""
 
-_MAX_MESSAGE_BYTES = MAX_MESSAGE_BYTES  # backwards-compatible alias
-
 V2_MAGIC = 0x97
 """First byte of every v2 frame.
 

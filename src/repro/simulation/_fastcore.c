@@ -31,6 +31,8 @@ typedef struct k_ctx {
     unsigned char *alive;
     int64_t c, H, S;
     int keepself, push, pull, ps, vs, omniscient, shuffle;
+    const int64_t *group;                   /* partition: group per id, */
+    int64_t ngroup;                         /* or NULL when none is open */
     int64_t *scratch, scratch_c;            /* one block, sized for c  */
     int64_t *rqi, *rqh, *rpi, *rph;         /* payload scratch         */
     int64_t *bids, *bhops, *order;          /* merge buffer            */
@@ -51,15 +53,17 @@ void fc_free(k_ctx *k) {
     free(k);
 }
 
-/* Register the engine's buffers and protocol; re-issued whenever a
-   buffer may have moved.  Returns 0, or -1 when the scratch block
-   cannot be allocated. */
+/* Register the engine's buffers, protocol and open partition (`group`:
+   see k_cut); re-issued whenever a buffer may have moved.  Returns 0,
+   or -1 when the scratch block cannot be allocated. */
 int fc_setup(k_ctx *k, int64_t *vids, int64_t *vhops, int64_t *vlen,
              int64_t *rowof, unsigned char *alive, int64_t c,
              int64_t healer, int64_t swapper, int keepself, int push,
-             int pull, int ps, int vs, int omniscient, int do_shuffle) {
+             int pull, int ps, int vs, int omniscient, int do_shuffle,
+             const int64_t *group, int64_t ngroup) {
     k->vids = vids; k->vhops = vhops; k->vlen = vlen; k->rowof = rowof;
     k->alive = alive;
+    k->group = group; k->ngroup = ngroup;
     k->c = c; k->H = healer; k->S = swapper;
     k->keepself = keepself; k->push = push; k->pull = pull;
     k->ps = ps; k->vs = vs; k->omniscient = omniscient;
@@ -124,13 +128,13 @@ void fc_store_state(k_ctx *k, int64_t *rstate) {
 }
 
 /* Random.random(): genrand_res53, bit-exact with _randommodule.c. */
-double fc_random(k_ctx *k) {
+static double fc_random(k_ctx *k) {
     uint32_t a = genrand_uint32(k) >> 5, b = genrand_uint32(k) >> 6;
     return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
 }
 
 /* Random.getrandbits(bits) for 1 <= bits <= 32 (one MT word). */
-uint32_t fc_getrandbits(k_ctx *k, int bits) {
+static uint32_t fc_getrandbits(k_ctx *k, int bits) {
     return genrand_uint32(k) >> (32 - bits);
 }
 
@@ -152,14 +156,14 @@ struct k_draw {
 };
 
 /* Random._randbelow_with_getrandbits; n >= 1 and n < 2**32 here, so
-   getrandbits(bits) is the single-word genrand_uint32() >> (32 - bits). */
+   getrandbits(bits) takes a single MT word. */
 static int64_t mt_below(k_draw *d, int64_t n) {
     int bits = 0;
     int64_t v = n;
     uint32_t r;
     while (v) { bits++; v >>= 1; }
     do {
-        r = genrand_uint32(d->k) >> (32 - bits);
+        r = fc_getrandbits(d->k, bits);
     } while ((int64_t)r >= n);
     return (int64_t)r;
 }
@@ -360,6 +364,18 @@ static void k_receive(k_ctx *k, int64_t node, const int64_t *ids,
     if (n) merge_into(k, node, ids, hops, n, sample);
 }
 
+/* Whether an open partition separates a from b: both carry a group id
+   and the ids differ.  An id past the array, or marked -1, joined after
+   the split and is unconstrained (SameGroup of simulation/churn.py, as
+   data).  Asked where the Python schedulers ask `reachable`; draws
+   nothing.  Inline: one pointer test per exchange when none is open. */
+static inline int k_cut(const k_ctx *k, int64_t a, int64_t b) {
+    int64_t ga, gb;
+    if (!k->group || a >= k->ngroup || b >= k->ngroup) return 0;
+    ga = k->group[a]; gb = k->group[b];
+    return ga >= 0 && gb >= 0 && ga != gb;
+}
+
 /* ------------------------------------------------------------------ */
 /* Scheduler 1: the synchronous cycle (engine "fast").                 */
 /* ------------------------------------------------------------------ */
@@ -378,7 +394,8 @@ void fc_run_cycle(k_ctx *k, int64_t *order, int64_t norder, int64_t *rstate,
         if (!k->alive[i]) continue;
         p = k_select(k, i, &mt);
         if (p < 0) continue;
-        if (!k->alive[p]) { failed++; continue; }   /* non-omniscient */
+        /* dead (non-omniscient selection) or across the partition */
+        if (!k->alive[p] || k_cut(k, i, p)) { failed++; continue; }
         nrq = k_payload(k, i, 0, k->rqi, k->rqh);
         /* passive thread: the reply snapshot precedes the merge. */
         nrp = k->pull ? k_payload(k, p, 1, k->rpi, k->rph) : 0;
@@ -449,13 +466,12 @@ void fc_bootstrap(k_ctx *k, int64_t n, int64_t count, int64_t fill,
 }
 
 /* ------------------------------------------------------------------ */
-/* Scheduler 2: the event heap (engine "fast-event").  The per-step    */
-/* entry points serve the Python dispatch loop; fc_event_run is the    */
-/* whole loop.  Unlike fc_run_cycle, the MT19937 state stays resident  */
-/* between calls (fc_load_state / fc_store_state bracket a scheduling  */
-/* slice); Python-side draws in between (loss, latency) go through     */
-/* fc_random / fc_getrandbits, so there is still one seamless logical  */
-/* RNG stream.                                                         */
+/* Scheduler 2: the event heap (engine "fast-event").  fc_event_run is */
+/* the whole loop; the two per-step entry points it dispatches to stay */
+/* exported as the seam tests/simulation/test_kernel_steps.py pins the */
+/* C steps through.  Unlike fc_run_cycle, the MT19937 state stays      */
+/* resident between calls: fc_load_state / fc_store_state bracket a    */
+/* scheduling slice.                                                   */
 /* ------------------------------------------------------------------ */
 
 void fc_event_setup(k_ctx *k, int64_t *mids, int64_t *mhops, int64_t *mlen,
@@ -552,9 +568,10 @@ typedef struct {
     double loss_p, lat_a, lat_b, tick_scale;
 } ev_net;
 
-/* Ship message slot `slot` from src to dst at `tick`: loss is decided
-   before latency is sampled, per message, exactly like the reference
-   event engine; loss_code 1 = Bernoulli(loss_p); lat_code 0 = constant
+/* Ship message slot `slot` from src to dst at `tick`: a partition cuts
+   the message before any draw, then loss is decided before latency is
+   sampled, per message, exactly like the reference event engine;
+   loss_code 1 = Bernoulli(loss_p); lat_code 0 = constant
    (const_delay ticks), 1 = uniform(lat_a + lat_b * random()),
    2 = exponential(-log(1 - random()) / lat_a), all bit-exact with the
    corresponding random.Random expressions. */
@@ -562,7 +579,8 @@ static void ev_send(k_ctx *k, const ev_net *net, int64_t tick, int64_t slot,
                     int64_t src, int64_t dst, int64_t kind) {
     int64_t delay;
     net->counters[2]++;                               /* sent */
-    if (net->loss_code == 1 && fc_random(k) < net->loss_p) {
+    if (k_cut(k, src, dst)
+        || (net->loss_code == 1 && fc_random(k) < net->loss_p)) {
         net->counters[3]++;                           /* lost */
         net->freelist[(*net->free_len)++] = slot;
         return;
@@ -649,13 +667,15 @@ int64_t fc_event_run(k_ctx *k, int64_t end_tick, int64_t boundary_tick,
    [src, dst, npay, ids[c+1], hops[c+1]]. */
 
 /* Phase 1 (active threads, request half) for the ids of one shard:
-   one request record per initiating node into `outbox`; dead
+   one request record per initiating node into `outbox`.  Requests
+   across a partition are dropped here and counted in *failed; dead
    destinations are counted at delivery.  Returns the record count. */
 int64_t fs_request_phase(k_ctx *k, uint64_t seed, uint64_t rnd,
                          int64_t shard, int64_t nshards, int64_t n_ids,
-                         int64_t *outbox) {
+                         int64_t *outbox, int64_t *failed) {
     int64_t stride = 2 * (k->c + 1) + 3;
     int64_t w = 0, i;
+    *failed = 0;
     for (i = shard; i < n_ids; i += nshards) {
         int64_t *msg = outbox + w * stride, p;
         k_draw draw;
@@ -663,6 +683,7 @@ int64_t fs_request_phase(k_ctx *k, uint64_t seed, uint64_t rnd,
         draw = fs_draw(seed, FS_SELECT, rnd, (uint64_t)i, 0);
         p = k_select(k, i, &draw);
         if (p < 0) continue;
+        if (k_cut(k, i, p)) { (*failed)++; continue; }
         msg[0] = i; msg[1] = p;
         msg[2] = k_payload(k, i, 0, msg + 3, msg + 3 + k->c + 1);
         w++;

@@ -7,10 +7,11 @@ library and hands out a ctypes handle to it.  The C file states Figure 1
 once, as ``k_select`` / ``k_payload`` / ``k_receive`` -- the mirror of
 :meth:`FlatArrayEngine.select` / ``payload`` / ``receive`` -- and its
 exported entry points are *schedulers* over those steps: ``fc_run_cycle``
-(a whole shuffled cycle), ``fc_event_begin`` / ``fc_event_deliver`` /
-``fc_event_run`` (one step, or the whole heap loop, of the event model)
-and ``fs_request_phase`` / ``fs_deliver`` (the sharded BSP phases with
-keyed draws).
+(a whole shuffled cycle), ``fc_event_run`` (the whole heap loop of the
+event model; ``fc_event_begin`` / ``fc_event_deliver``, the steps it
+dispatches to, are bound as the step-level test seam) and
+``fs_request_phase`` / ``fs_deliver`` (the sharded BSP phases with keyed
+draws).
 
 All mutable C state lives in a ``k_ctx`` that each engine owns
 (:meth:`Accelerator.context`), so any number of engines may run their C
@@ -109,6 +110,7 @@ class Accelerator:
             _I64, _I64, _I64,                          # c, healer, swapper
             c_int, c_int, c_int,                       # keep_self, push, pull
             c_int, c_int, c_int, c_int,                # ps, vs, omni, shuffle
+            _I64P, _I64,                               # partition groups, n
         )
         self.run_cycle = bind(
             "fc_run_cycle", None, _CTX, _I64P, _I64, _I64P, _I64P
@@ -118,10 +120,6 @@ class Accelerator:
         )
         self.load_state = bind("fc_load_state", None, _CTX, _I64P)
         self.store_state = bind("fc_store_state", None, _CTX, _I64P)
-        self.rand_double = bind("fc_random", c_double, _CTX)
-        self.rand_bits = bind(
-            "fc_getrandbits", ctypes.c_uint32, _CTX, c_int
-        )
         self.event_setup = bind(
             "fc_event_setup", None, _CTX, _I64P, _I64P, _I64P, _I64P, _I64P
         )
@@ -150,7 +148,7 @@ class Accelerator:
             "fs_request_phase", _I64, _CTX,
             c_uint64, c_uint64,                        # phase seed, round
             _I64, _I64,                                # shard, nshards
-            _I64, _I64P,                               # n_ids, outbox
+            _I64, _I64P, _I64P,                        # n_ids, outbox, failed
         )
         self.shard_deliver = bind(
             "fs_deliver", None, _CTX,

@@ -111,6 +111,7 @@ from repro.simulation._fastcore import (
     unavailable_reason,
 )
 from repro.simulation.base import BaseEngine
+from repro.simulation.churn import SameGroup
 
 __all__ = ["FlatArrayEngine", "FastNode", "FastViewProxy"]
 
@@ -419,10 +420,8 @@ class FlatArrayEngine(BaseEngine):
         # possible; while False, the Python path skips liveness filtering
         # (the C path always filters -- same candidate set either way).
         self._maybe_dead_refs = False
-        # Growing an array('q') may move its buffer; consumers that hand
-        # raw pointers to the C core (the event engine) re-register when
-        # this is set.  The cycle engine re-registers every cycle anyway.
-        self._ptr_dirty = True
+        # (installed ``reachable``, its lowering to an array): _backend().
+        self._lowered = (None, None)
 
     @property
     def accelerated(self) -> bool:
@@ -435,38 +434,70 @@ class FlatArrayEngine(BaseEngine):
     matters while its window is open -- see :meth:`_backend`."""
 
     def _backend(self):
-        """The backend-selection rule, as ``(hooks, accel, native)``.
+        """The backend-selection rule, as ``(hooks, native)``.
 
         Evaluated at every cycle boundary from observable state, so
         observers may open an attack window, install ``reachable`` or
-        swap a model mid-run and the very next cycle honours it:
+        swap a model mid-run and the very next cycle honours it.  Two
+        outcomes:
 
-        - attack window open: the Python steps with ``hooks``;
-        - else the C core (``accel``), unless the protocol validates
-          descriptors or the RNG is not a plain MT19937 the core can
-          take over -- then the Python steps without hooks;
-        - ``native`` is not ``None`` when nothing needs Python *between*
-          steps (no ``reachable`` predicate, :meth:`_native_models`), so
-          the executor's whole-loop C entry point may run.
+        - ``native is None``: the kernel's Python steps -- with ``hooks``
+          while an attack window is open; also under descriptor
+          validation, without a C core or a plain MT19937 it can take
+          over, and for what only a Python call can decide per message
+          (an arbitrary ``reachable``, a custom latency/loss model);
+        - else the executor's whole-loop C entry point and its
+          parameters ``native = (groups, *models)``: the open partition
+          as data (:meth:`_lowered_groups`; ``None`` when no
+          ``reachable`` is installed) and :meth:`_native_models`.
         """
         adversary = self.adversary
         if adversary is not None and adversary.active:
-            return adversary, None, None
-        accel = self._accel
+            return adversary, None
+        models = self._native_models()
         if (
-            accel is None
+            self._accel is None
             or self.config.validate_descriptors
             or type(self.rng) is not random.Random
+            or models is None
         ):
-            return None, None, None
-        native = self._native_models() if self.reachable is None else None
-        return None, accel, native
+            return None, None
+        groups = None
+        reachable = self.reachable
+        if reachable is not None:
+            if self._lowered[0] is not reachable:  # once per install
+                self._lowered = (reachable, self._lowered_groups(reachable))
+            groups = self._lowered[1]
+            if groups is None:
+                return None, None
+        return None, (groups, *models)
 
     def _native_models(self):
         """What the whole-loop C path needs to know about per-message
         models, or ``None`` when they take a Python call (the cycle
         model has none)."""
         return ()
+
+    def _lowered_groups(self, reachable) -> Optional[array]:
+        """A :class:`SameGroup` as the id-indexed array ``k_cut`` reads;
+        ``None`` for any other callable.
+
+        A dense group code per interned id, ``-1`` where it names no
+        group; ids interned later lie past the end: both unconstrained,
+        as in :class:`SameGroup`.  Also ``None`` when it names an address
+        not interned yet, whose group a later join would put out of sight.
+        """
+        if type(reachable) is not SameGroup:
+            return None
+        lowered = array("q", (-1,)) * len(self._addr_of)
+        id_of = self._id_of
+        codes: Dict[object, int] = {}
+        for address, group in reachable.groups.items():
+            node_id = id_of.get(address)
+            if node_id is None:
+                return None
+            lowered[node_id] = codes.setdefault(group, len(codes))
+        return lowered
 
     # -- id / storage management ------------------------------------------
 
@@ -479,7 +510,6 @@ class FlatArrayEngine(BaseEngine):
             self._addr_of.append(address)
             self._alive.append(0)
             self._row_of.append(-1)
-            self._ptr_dirty = True
         return node_id
 
     def _allocate_row(self) -> int:
@@ -489,11 +519,13 @@ class FlatArrayEngine(BaseEngine):
         self._vlen.append(0)
         self._vids.frombytes(self._zero_row)
         self._vhops.frombytes(self._zero_row)
-        self._ptr_dirty = True
         return row
 
-    def _accel_setup(self, accel: Accelerator) -> None:
-        """Register the engine's buffers and protocol with the C core.
+    def _accel_setup(
+        self, accel: Accelerator, groups: Optional[array] = None
+    ) -> None:
+        """Register the engine's buffers and protocol with the C core,
+        and the open partition (``groups`` as in :meth:`_backend`).
 
         Must be re-issued whenever a buffer may have moved (any growth);
         the cycle engine simply calls it once per accelerated entry
@@ -518,6 +550,8 @@ class FlatArrayEngine(BaseEngine):
             _POLICY_CODE[config.view_selection.value],
             int(self.omniscient_peer_selection),
             int(self.shuffle_each_cycle),
+            pointer(groups.buffer_info()[0]) if groups is not None else None,
+            len(groups) if groups is not None else 0,
         )
         if status:
             raise MemoryError("cannot allocate the C core scratch buffers")

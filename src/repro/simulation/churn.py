@@ -22,7 +22,7 @@ custom engines and tests.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Hashable, List, Mapping
 
 from repro.core.descriptor import Address
 from repro.core.errors import ConfigurationError
@@ -81,13 +81,36 @@ class ContinuousChurn(Observer):
         if leaves:
             engine.crash_random_nodes(leaves)
             self.total_left += leaves
+        # One O(N) list per batch, not per join: add_node appends in
+        # insertion order on every engine, so appending each joiner keeps
+        # the list -- and hence every draw -- what addresses() would give.
+        alive = engine.addresses()
         for _ in range(self.joins_per_cycle):
-            alive = engine.addresses()
             if not alive:
                 break
             contact = engine.rng.choice(alive)
-            engine.add_node(contacts=[contact])
+            alive.append(engine.add_node(contacts=[contact]))
             self.total_joined += 1
+
+
+class SameGroup:
+    """Reachability predicate of a partition: same group, or unassigned.
+
+    ``groups`` maps an address to its group label as of the moment the
+    partition opened.  An address it does not name -- a node that joined
+    inside the window -- is unconstrained: it reaches, and is reached
+    from, every side.  The mapping must not change while installed: the
+    flat engines read it once per install and run it as data in the C
+    core (:meth:`~repro.simulation.arrayviews.FlatArrayEngine._backend`).
+    """
+
+    def __init__(self, groups: Mapping[Address, Hashable]) -> None:
+        self.groups = groups
+
+    def __call__(self, sender: Address, recipient: Address) -> bool:
+        group_a = self.groups.get(sender)
+        group_b = self.groups.get(recipient)
+        return group_a is None or group_b is None or group_a == group_b
 
 
 class TemporaryPartition(Observer):
@@ -95,8 +118,9 @@ class TemporaryPartition(Observer):
 
     At ``start_cycle`` every live node is assigned to one of ``n_groups``
     groups (round-robin over a shuffled order); messages across groups are
-    dropped until ``end_cycle``.  Nodes joining during the partition land
-    in a random group.
+    dropped until ``end_cycle`` by the :class:`SameGroup` predicate this
+    observer installs as ``engine.reachable`` -- nodes joining during the
+    partition belong to no group and exchange with every side.
 
     The paper's discussion (Section 8) notes that with *head* view
     selection "all partitions will forget about each other very quickly",
@@ -127,17 +151,10 @@ class TemporaryPartition(Observer):
             for index, address in enumerate(addresses)
         }
 
-    def _reachable(self, sender: Address, recipient: Address) -> bool:
-        group_a = self.groups.get(sender)
-        group_b = self.groups.get(recipient)
-        if group_a is None or group_b is None:
-            return True  # joined during the partition: unconstrained
-        return group_a == group_b
-
     def before_cycle(self, engine: BaseEngine) -> None:  # type: ignore[override]
         if not self.active and self.start_cycle <= engine.cycle < self.end_cycle:
             self._assign(engine)
-            engine.reachable = self._reachable
+            engine.reachable = SameGroup(self.groups)
             self.active = True
         elif self.active and engine.cycle >= self.end_cycle:
             engine.reachable = None

@@ -23,22 +23,22 @@ Execution backends
 ------------------
 
 Because the kernel arrays are plain C ``int64`` memory, the cycle loop
-itself has two interchangeable implementations:
+itself has two interchangeable implementations, and one rule
+(:meth:`~repro.simulation.arrayviews.FlatArrayEngine._backend`, asked
+afresh every cycle) picks between them:
 
-- an optional C core (:mod:`repro.simulation._fastcore`), compiled once
-  with the system C compiler, whose ``fc_run_cycle`` is the same
-  scheduler over the C steps ``k_select`` / ``k_payload`` / ``k_receive``
-  and runs entire cycles natively -- orders of magnitude faster than the
-  reference engine;
-- the kernel's Python steps, used when no compiler is available (or
-  ``REPRO_NO_ACCEL`` is set), under a ``reachable`` predicate or
-  descriptor validation, and -- with the attack hooks -- while an
-  adversary's window is open; still several times leaner than the
-  object-per-node engine.
-
-The choice is the kernel's one rule
-(:meth:`~repro.simulation.arrayviews.FlatArrayEngine._backend`), made
-afresh every cycle.
+- the C core (:mod:`repro.simulation._fastcore`, compiled once with the
+  system C compiler): ``fc_run_cycle`` schedules the C steps
+  ``k_select`` / ``k_payload`` / ``k_receive`` and runs entire cycles
+  natively -- orders of magnitude faster than the reference engine.  A
+  :class:`~repro.simulation.churn.TemporaryPartition` window stays here:
+  its groups are handed to the core as data;
+- the kernel's Python steps (:meth:`FastCycleEngine._run_cycle_python`),
+  for everything the core cannot express: no compiler (or
+  ``REPRO_NO_ACCEL``), a non-MT RNG, descriptor validation, an arbitrary
+  ``reachable`` callable, and -- with the attack hooks -- an open
+  adversary window; still several times leaner than the object-per-node
+  engine.
 
 Determinism and RNG parity
 --------------------------
@@ -110,9 +110,9 @@ class FastCycleEngine(FlatArrayEngine):
         module docstring for the RNG-parity argument.
         """
         self._notify_before_cycle()
-        hooks, accel, native = self._backend()
+        hooks, native = self._backend()
         if native is not None:
-            self._run_cycle_c(accel)
+            self._run_cycle_c(*native)
         else:
             self._run_cycle_python(hooks)
         self.cycle += 1
@@ -123,20 +123,22 @@ class FastCycleEngine(FlatArrayEngine):
         for _ in range(cycles):
             self.run_cycle()
 
-    def _run_cycle_c(self, accel: Accelerator) -> None:
-        """One cycle through the compiled core.
+    def _run_cycle_c(self, groups) -> None:
+        """One cycle through the compiled core (``groups``: the open
+        partition, see ``_backend``).
 
         The C side takes over the Mersenne Twister state for the duration
         of the cycle (same draws, same order as the reference engine) and
         hands it back through ``setstate`` afterwards.
         """
+        accel = self._accel
         rng = self.rng
         order = array("q", self._live)
         state_before = rng.getstate()
         state = array("q", state_before[1])
         out = array("q", (0, 0))
         pointer = Accelerator.pointer
-        self._accel_setup(accel)
+        self._accel_setup(accel, groups)
         accel.run_cycle(
             self._ctx,
             pointer(order.buffer_info()[0]),

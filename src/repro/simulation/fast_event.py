@@ -46,32 +46,27 @@ protocols, latency/loss models and churn.
 Execution backends
 ------------------
 
-There is one Python dispatch loop (:meth:`FastEventEngine._run_events`:
-the heap, reachability, loss, latency, message slots, counters) and the
-protocol steps it dispatches to come from one of two small backends:
+Two executors, one rule.  The kernel's
+:meth:`~repro.simulation.arrayviews.FlatArrayEngine._backend` picks
+between them and is asked again at every cycle boundary, where either
+one hands every piece of state back -- so an observer may open an attack
+window, install a partition or swap a model mid-run:
 
-- :class:`_KernelSteps` -- the kernel's Python ``select`` / ``payload``
-  / ``receive`` steps, with the attack hooks when a window is open;
-- :class:`_CoreSteps` -- one C call per protocol step
-  (``fc_event_begin`` = ``k_select`` + ``k_payload``,
-  ``fc_event_deliver`` = ``k_payload`` + ``k_receive``) with the Mersenne
-  Twister state *resident* in C between cycle boundaries; the loop's own
-  draws (loss, latency) go through a bit-exact C-backed ``random.Random``
-  facade, so the logical RNG stream stays seamless.  This is what keeps
-  partition/heal specs and custom latency/loss models fast.
+- ``fc_event_run`` (:meth:`FastEventEngine._run_events_c_full`): the
+  whole dispatch loop -- heap, send tail and the C steps ``k_select`` /
+  ``k_payload`` / ``k_receive`` -- runs natively and returns to Python
+  only at cycle boundaries.  It takes the built-in latency/loss models
+  as parameters and a
+  :class:`~repro.simulation.churn.TemporaryPartition` window as data;
+- the Python dispatch loop (:meth:`FastEventEngine._run_events`: the
+  heap, reachability, loss, latency, message slots, counters) over the
+  kernel's Python ``select`` / ``payload`` / ``receive`` steps, for
+  everything the core cannot express: no compiler, a non-MT RNG,
+  descriptor validation, an arbitrary ``reachable`` callable, a custom
+  latency/loss model, and -- with the attack hooks -- an open adversary
+  window.
 
-A third executor bypasses the Python loop altogether: with the built-in
-models and no ``reachable`` predicate, ``fc_event_run`` -- the same
-scheduler over the same C steps, heap and send tail included -- runs the
-whole dispatch loop natively and returns to Python only at cycle
-boundaries (:meth:`FastEventEngine._run_events_c_full`).
-
-Which one runs is decided by the kernel's single rule
-(:meth:`~repro.simulation.arrayviews.FlatArrayEngine._backend`) and
-re-decided at every cycle boundary, where all three hand every piece of
-state back -- so an observer may open an attack window, install a
-partition or swap a model mid-run.  All three produce byte-identical
-results.
+Both produce byte-identical results.
 
 Differences from the cycle engines
 ----------------------------------
@@ -91,7 +86,6 @@ from __future__ import annotations
 
 import random
 from array import array
-from functools import partial
 from heapq import heapify, heappop, heappush
 from typing import Optional
 
@@ -127,166 +121,6 @@ _DATA_BITS = _KIND_SHIFT + 2
 _TIMER = 0 << _KIND_SHIFT      # index = node id
 _REQUEST = 1 << _KIND_SHIFT    # index = message slot
 _REPLY = 2 << _KIND_SHIFT      # index = message slot
-
-
-class _AcceleratorRandom(random.Random):
-    """A ``random.Random`` facade over the C core's resident MT19937.
-
-    While the fast event engine runs an accelerated scheduling slice, the
-    Mersenne Twister state lives inside the C library; engine-level draws
-    (loss, latency) still have to come from the *same* logical stream, so
-    they are routed through this facade, whose :meth:`random` and
-    :meth:`getrandbits` are bit-exact reimplementations of CPython's over
-    the C-resident state.  Every derived method (``uniform``,
-    ``expovariate``, ``sample``, ...) reduces to these two, so arbitrary
-    latency/loss models stay deterministic and seamless.
-    """
-
-    def __init__(self, accel: Accelerator, ctx: int) -> None:
-        self._rand_double = partial(accel.rand_double, ctx)
-        self._rand_bits = partial(accel.rand_bits, ctx)
-        super().__init__()
-
-    def random(self) -> float:
-        return self._rand_double()
-
-    def getrandbits(self, k: int) -> int:
-        if k <= 0:
-            raise ValueError("number of bits must be greater than zero")
-        rand_bits = self._rand_bits
-        if k <= 32:
-            return rand_bits(k)
-        # CPython fills 32-bit words least-significant first, shifting the
-        # final partial word down; replicate exactly.
-        result = 0
-        shift = 0
-        while k > 32:
-            result |= rand_bits(32) << shift
-            shift += 32
-            k -= 32
-        return result | (rand_bits(k) << shift)
-
-
-class _KernelSteps:
-    """Dispatch-loop backend: the protocol steps as Python kernel calls.
-
-    Speaks the calling convention of the C entry points it stands in for
-    (``fc_event_begin`` / ``fc_event_deliver``): payloads travel through
-    message slots, ``begin`` returns the selected peer.  ``hooks`` is the
-    active attack policy, or ``None``.
-    """
-
-    def __init__(self, engine: "FastEventEngine", hooks) -> None:
-        rng = self.rng = engine.rng
-        self.rand = rng.random
-        self.new_slot = engine._new_slot
-        draw = rng.randrange
-        select = engine.select
-        payload = engine.payload
-        receive = engine.receive
-        stride = engine._slot_stride
-        m_ids = engine._m_ids
-        m_hops = engine._m_hops
-        m_len = engine._m_len
-        m_src = engine._m_src
-
-        def store(slot: int, ids, hops) -> None:
-            n = m_len[slot] = len(ids)
-            if n:
-                off = slot * stride
-                m_ids[off:off + n] = array("q", ids)
-                m_hops[off:off + n] = array("q", hops)
-
-        def begin(node: int, slot: int) -> int:
-            peer = select(node, draw, hooks)
-            if peer >= 0:
-                ids, hops = payload(node, peer, False, hooks)
-                store(slot, ids, hops)
-            return peer
-
-        def deliver(node: int, slot: int, reply_slot: int) -> None:
-            sender = m_src[slot]
-            if reply_slot >= 0:
-                ids, hops = payload(node, sender, True, hooks)
-                store(reply_slot, ids, hops)
-            off = slot * stride
-            end = off + m_len[slot]
-            receive(
-                node,
-                sender,
-                m_ids[off:end].tolist(),
-                m_hops[off:end].tolist(),
-                hooks,
-            )
-
-        self.begin = begin
-        self.deliver = deliver
-
-    def enter(self) -> None:
-        """Nothing to hand over: the steps draw from the engine RNG."""
-
-    leave = enter
-
-
-class _CoreSteps:
-    """Dispatch-loop backend: one C call per protocol step.
-
-    ``fc_event_begin`` per timer, ``fc_event_deliver`` per delivery.
-    Between :meth:`enter` and :meth:`leave` the Mersenne Twister state is
-    resident in C; the loop's loss/latency draws go through the
-    :class:`_AcceleratorRandom` facade against that resident state.
-    """
-
-    def __init__(self, engine: "FastEventEngine", accel: Accelerator) -> None:
-        self._engine = engine
-        self._accel = accel
-        self._resident = False
-        ctx = engine._ctx
-        self.rng = engine._c_rng
-        self.rand = self.rng._rand_double
-        self.begin = partial(accel.event_begin, ctx)
-        self.deliver = partial(accel.event_deliver, ctx)
-        self._state_ptr = Accelerator.pointer(
-            engine._rstate.buffer_info()[0]
-        )
-
-    def _register(self) -> None:
-        # ``_ptr_dirty`` covers *all* engine buffers (view arrays
-        # included, per the kernel's contract), so clearing it requires
-        # re-issuing both registrations.
-        engine = self._engine
-        engine._accel_setup(self._accel)
-        engine._event_setup(self._accel)
-        engine._ptr_dirty = False
-
-    def new_slot(self) -> int:
-        """Take a never-used slot, re-registering the buffers if anything
-        grew -- pool growth is the usual trigger, but a callback that
-        interned an address mid-slice must not leave the C core holding
-        stale view pointers either."""
-        slot = self._engine._new_slot()
-        if self._engine._ptr_dirty:
-            self._register()
-        return slot
-
-    def enter(self) -> None:
-        """Register the buffers (observers may have grown them) and move
-        the MT state into C."""
-        engine = self._engine
-        self._register()
-        self._version, internal, self._gauss = engine.rng.getstate()
-        engine._rstate[:] = array("q", internal)
-        self._accel.load_state(engine._ctx, self._state_ptr)
-        self._resident = True
-
-    def leave(self) -> None:
-        """Hand the MT state back to the Python ``Random`` (idempotent)."""
-        if self._resident:
-            self._resident = False
-            self._accel.store_state(self._engine._ctx, self._state_ptr)
-            self._engine.rng.setstate(
-                (self._version, tuple(self._engine._rstate), self._gauss)
-            )
 
 
 class FastEventEngine(FlatArrayEngine):
@@ -384,13 +218,6 @@ class FastEventEngine(FlatArrayEngine):
         # [_pool_fresh, len(_m_len)) are preallocated untouched headroom
         # for the whole-slice C loop.
         self._pool_fresh = 0
-        # scratch for the accelerated path
-        self._rstate = array("q", bytes(8 * 625))
-        self._c_rng = (
-            _AcceleratorRandom(self._accel, self._ctx)
-            if self._accel is not None
-            else None
-        )
 
     # -- clocks ------------------------------------------------------------
 
@@ -464,7 +291,6 @@ class FastEventEngine(FlatArrayEngine):
         self._m_dst.frombytes(zero)
         self._m_ids.frombytes(self._zero_slot * slots)
         self._m_hops.frombytes(self._zero_slot * slots)
-        self._ptr_dirty = True
 
     def _event_setup(self, accel: Accelerator) -> None:
         """Register the message pool buffers with the C core."""
@@ -515,11 +341,8 @@ class FastEventEngine(FlatArrayEngine):
                 # Both loops return when the slice is done *or* a cycle
                 # boundary changed the backend selection; re-peek.
                 selection = self._backend()
-                _, accel, codes = selection
-                if codes is not None:
-                    # built-in models, no reachability predicate: the
-                    # whole dispatch loop (heap included) runs natively.
-                    self._run_events_c_full(accel, end, codes)
+                if selection[1] is not None:
+                    self._run_events_c_full(end, selection)
                 else:
                     self._run_events(end, selection)
                 continue
@@ -541,7 +364,7 @@ class FastEventEngine(FlatArrayEngine):
         Only the built-in model classes are expressible: the C side
         reproduces their exact ``random.Random`` float expressions (see
         ``fc_event_run``), so results stay byte-identical with the
-        Python loop.  Custom models need Python between protocol steps.
+        Python loop, which is where custom models run.
         """
         loss = self.loss
         if type(loss) is NoLoss:
@@ -562,48 +385,6 @@ class FastEventEngine(FlatArrayEngine):
             return None
         return (loss_code, loss_p) + lat
 
-    def _hot_bindings(self, tick_shift: int):
-        """Per-send bindings of the dispatch loop, from observable state.
-
-        Everything returned here is state the reference event engine
-        reads per send and that boundary observers may legitimately swap
-        mid-run (``TemporaryPartition`` installs ``reachable``; models
-        can be replaced), so the loop binds it at slice start and again
-        after every cycle boundary.  Returns ``(reachable,
-        latency_sample, loss_drops, no_loss, bernoulli_p, constant_delay,
-        uniform, constant_delay_key)``.
-
-        The built-in models are constant-folded: draw-free ones are
-        skipped entirely (``NoLoss`` consumes no RNG, ``ConstantLatency``
-        folds to one precomputed tick count) and the two stochastic
-        built-ins reduce to a single ``random()`` draw inlined at the
-        call site with exactly the float expression ``random.Random``
-        would evaluate, so the RNG stream is unchanged.  Anything else
-        (``None`` markers) goes through the generic ``drops``/``sample``
-        calls.
-        """
-        loss = self.loss
-        latency = self.latency
-        constant_delay = (
-            int(latency.delay * self._tick_scale)
-            if type(latency) is ConstantLatency
-            else None
-        )
-        return (
-            self.reachable,
-            latency.sample,
-            loss.drops,
-            type(loss) is NoLoss,
-            loss.probability if type(loss) is BernoulliLoss else None,
-            constant_delay,
-            (latency.low, latency.high - latency.low)
-            if type(latency) is UniformLatency
-            else None,
-            constant_delay << tick_shift
-            if constant_delay is not None
-            else None,
-        )
-
     def _fire_boundaries(self, up_to_tick: int) -> None:
         # Boundary k is the exact integer product k * ticks_per_period.
         ticks_per_period = self.ticks_per_period
@@ -613,18 +394,75 @@ class FastEventEngine(FlatArrayEngine):
             self._notify_after_cycle()
             self._notify_before_cycle()
 
+    def _count(self, completed, failed, sent, lost) -> None:
+        """Flush a dispatch loop's local counters into the public ones."""
+        self.completed_exchanges += completed
+        self.failed_exchanges += failed
+        self.messages_sent += sent
+        self.messages_lost += lost
+
     # -- the dispatch loop -------------------------------------------------
 
+    def _steps(self, hooks):
+        """The kernel's Python steps in the dispatch loops' calling
+        convention, as ``(begin, deliver)``.
+
+        The convention is that of the C entry points ``fc_event_begin``
+        / ``fc_event_deliver``: payloads travel through message slots,
+        ``begin`` returns the selected peer.  ``hooks`` is the active
+        attack policy, or ``None``.
+        """
+        draw = self.rng.randrange
+        select = self.select
+        payload = self.payload
+        receive = self.receive
+        stride = self._slot_stride
+        m_ids = self._m_ids
+        m_hops = self._m_hops
+        m_len = self._m_len
+        m_src = self._m_src
+
+        def store(slot: int, ids, hops) -> None:
+            n = m_len[slot] = len(ids)
+            if n:
+                off = slot * stride
+                m_ids[off:off + n] = array("q", ids)
+                m_hops[off:off + n] = array("q", hops)
+
+        def begin(node: int, slot: int) -> int:
+            peer = select(node, draw, hooks)
+            if peer >= 0:
+                ids, hops = payload(node, peer, False, hooks)
+                store(slot, ids, hops)
+            return peer
+
+        def deliver(node: int, slot: int, reply_slot: int) -> None:
+            sender = m_src[slot]
+            if reply_slot >= 0:
+                ids, hops = payload(node, sender, True, hooks)
+                store(reply_slot, ids, hops)
+            off = slot * stride
+            end = off + m_len[slot]
+            receive(
+                node,
+                sender,
+                m_ids[off:end].tolist(),
+                m_hops[off:end].tolist(),
+                hooks,
+            )
+
+        return begin, deliver
+
     def _run_events(self, end: int, selection) -> None:
-        """Dispatch events up to ``end``: the one Python heap loop.
+        """Dispatch events up to ``end``: the Python heap loop.
 
         Mirrors ``EventEngine.run_time`` decision for decision and draw
         for draw -- see the module docstring for the equivalence
         argument.  The loop owns *when* things happen (the heap, timers,
         reachability, loss, latency, message slots, counters); *what* a
-        node does on a timer or a delivery comes from the step backend
-        that ``selection`` (this slice's :meth:`_backend` answer) names:
-        :class:`_KernelSteps` or :class:`_CoreSteps`.
+        node does on a timer or a delivery are the kernel's Python steps
+        (:meth:`_steps`), under the hooks that ``selection`` -- this
+        slice's :meth:`_backend` answer -- names.
 
         Counters are accumulated locally and flushed before every cycle
         boundary so observers see up-to-date totals.  After a boundary
@@ -632,17 +470,9 @@ class FastEventEngine(FlatArrayEngine):
         with all state handed back, and ``run_ticks`` re-enters through
         the backend that now applies.
         """
-        hooks, accel, _ = selection
-        steps = (
-            _CoreSteps(self, accel)
-            if accel is not None
-            else _KernelSteps(self, hooks)
-        )
-        begin = steps.begin
-        deliver = steps.deliver
-        new_slot = steps.new_slot
-        rng = steps.rng
-        rand = steps.rand
+        begin, deliver = self._steps(selection[0])
+        new_slot = self._new_slot
+        rng = self.rng
         sched = self._sched
         heap = sched._heap
         tick_shift = sched._tick_shift
@@ -659,16 +489,11 @@ class FastEventEngine(FlatArrayEngine):
         free_pop = free_slots.pop
         free_append = free_slots.append
         pull = self.config.pull
-        (
-            reachable,
-            latency_sample,
-            loss_drops,
-            no_loss,
-            bernoulli_p,
-            constant_delay,
-            uniform,
-            constant_delay_key,
-        ) = self._hot_bindings(tick_shift)
+        # What the reference event engine reads per send, and boundary
+        # observers may swap mid-run: bound here, again after a boundary.
+        reachable = self.reachable
+        loss_drops = self.loss.drops
+        latency_sample = self.latency.sample
         completed = 0
         failed = 0
         sent = 0
@@ -684,25 +509,20 @@ class FastEventEngine(FlatArrayEngine):
         tick_mask = ~((1 << tick_shift) - 1)  # key & tick_mask strips seq/data
         last_key = None
 
-        steps.enter()
         try:
             while heap:
                 key = heap[0]
                 if key > end_key:
                     break
                 if key >= boundary_key:
-                    # flush counters and hand control (and the RNG) to the
-                    # observers; they may draw, crash/add nodes, push
-                    # timers, open an attack window or install a model.
-                    self.completed_exchanges += completed
-                    self.failed_exchanges += failed
-                    self.messages_sent += sent
-                    self.messages_lost += lost
+                    # flush counters and hand control to the observers;
+                    # they may draw, crash/add nodes, push timers, open
+                    # an attack window or install a model.
+                    self._count(completed, failed, sent, lost)
                     completed = failed = sent = lost = 0
                     sched._seq = seq
                     if last_key is not None:
                         sched.now_tick = last_key >> tick_shift
-                    steps.leave()
                     self._fire_boundaries(key >> tick_shift)
                     boundary_key = (
                         (self._boundary_index + 1) * ticks_per_period
@@ -710,17 +530,9 @@ class FastEventEngine(FlatArrayEngine):
                     seq = sched._seq
                     if self._backend() != selection:
                         return
-                    steps.enter()
-                    (
-                        reachable,
-                        latency_sample,
-                        loss_drops,
-                        no_loss,
-                        bernoulli_p,
-                        constant_delay,
-                        uniform,
-                        constant_delay_key,
-                    ) = self._hot_bindings(tick_shift)
+                    reachable = self.reachable
+                    loss_drops = self.loss.drops
+                    latency_sample = self.latency.sample
                     continue  # re-peek: observers may have pushed events
                 key = heappop(heap)
                 last_key = key
@@ -763,44 +575,30 @@ class FastEventEngine(FlatArrayEngine):
 
                 if out_slot >= 0:
                     sent += 1
-                    if reachable is not None and not reachable(
-                        addr_of[src], addr_of[dst]
-                    ):
+                    # unreachable before loss before latency, per message
+                    if (
+                        reachable is not None
+                        and not reachable(addr_of[src], addr_of[dst])
+                    ) or loss_drops(rng):
                         lost += 1
                         free_append(out_slot)
-                    elif no_loss or (
-                        rand() >= bernoulli_p
-                        if bernoulli_p is not None
-                        else not loss_drops(rng)
-                    ):
-                        if constant_delay is not None:
-                            delay_key = constant_delay_key
-                        elif uniform is not None:
-                            delay_key = int(
-                                (uniform[0] + uniform[1] * rand())
-                                * tick_scale
-                            ) << tick_shift
-                        else:
-                            delay = latency_sample(rng)
-                            if delay < 0:
-                                # same guard EventEngine gets from
-                                # EventScheduler.schedule
-                                raise SimulationError(
-                                    f"cannot schedule into the past: {delay}"
-                                )
-                            delay_key = int(delay * tick_scale) << tick_shift
+                    else:
+                        delay = latency_sample(rng)
+                        if delay < 0:
+                            # same guard EventEngine gets from
+                            # EventScheduler.schedule
+                            raise SimulationError(
+                                f"cannot schedule into the past: {delay}"
+                            )
                         m_src[out_slot] = src
                         m_dst[out_slot] = dst
                         heappush(
                             heap,
                             (key & tick_mask)
-                            + delay_key
+                            + (int(delay * tick_scale) << tick_shift)
                             + ((seq << seq_shift) | kind | out_slot),
                         )
                         seq += 1
-                    else:
-                        lost += 1
-                        free_append(out_slot)
                 if data < _REQUEST:
                     # the timer survives even when no exchange started
                     heappush(
@@ -812,13 +610,9 @@ class FastEventEngine(FlatArrayEngine):
                     seq += 1
         finally:
             # flush even when an observer raises mid-slice, so a caller
-            # that catches and resumes sees consistent counters, RNG and
+            # that catches and resumes sees consistent counters and
             # scheduler state (the whole-slice path guards the same way).
-            steps.leave()
-            self.completed_exchanges += completed
-            self.failed_exchanges += failed
-            self.messages_sent += sent
-            self.messages_lost += lost
+            self._count(completed, failed, sent, lost)
             # monotonic guard: if an observer raised mid-boundary after
             # pushing events, the scheduler's counter is already ahead of
             # this local -- never roll it back, or later pushes would mint
@@ -833,8 +627,9 @@ class FastEventEngine(FlatArrayEngine):
     _HEAP_HEADROOM = 4096
     _POOL_HEADROOM = 4096
 
-    def _run_events_c_full(self, accel: Accelerator, end: int, codes) -> bool:
-        """Dispatch events up to ``end`` natively in C.
+    def _run_events_c_full(self, end: int, selection) -> None:
+        """Dispatch events up to ``end`` natively in C, with the partition
+        groups and model codes of ``selection`` (a :meth:`_backend` answer).
 
         The pending-event heap is migrated from the Python packed-int
         representation into three parallel ``int64`` arrays (a positional
@@ -846,14 +641,15 @@ class FastEventEngine(FlatArrayEngine):
         every boundary with the RNG state and all bookkeeping handed
         back, exactly like the Python dispatch loop.
 
-        Returns ``True`` when the slice completed, ``False`` when a
-        boundary changed the backend selection (an attack window opened,
-        an observer installed a reachability predicate or swapped in a
-        model the C loop cannot express) -- all state is handed back
-        consistently and ``run_ticks`` finishes the slice through
-        :meth:`_run_events`, which honors those changes.
+        Returns early when a boundary changed the backend selection (an
+        attack window opened, a partition opened or healed, an observer
+        swapped a model) -- all state is handed back consistently and
+        ``run_ticks`` re-enters through the backend that now applies.
         """
-        loss_code, loss_p, lat_code, const_delay, lat_a, lat_b = codes
+        groups, loss_code, loss_p, lat_code, const_delay, lat_a, lat_b = (
+            selection[1]
+        )
+        accel = self._accel
         sched = self._sched
         heap = sched._heap
         tick_shift = sched._tick_shift
@@ -868,14 +664,17 @@ class FastEventEngine(FlatArrayEngine):
 
         # heap migration: positional copy into (tick, seq, data) arrays.
         n = len(heap)
-        heap_cap = n + self._HEAP_HEADROOM
         ht = array("q", [key >> tick_shift for key in heap])
         hs = array("q", [(key >> seq_shift) & seq_mask for key in heap])
         hd = array("q", [key & data_mask for key in heap])
         pad = bytes(8 * self._HEAP_HEADROOM)
-        ht.frombytes(pad)
-        hs.frombytes(pad)
-        hd.frombytes(pad)
+
+        def grow_heap() -> int:
+            for column in (ht, hs, hd):
+                column.frombytes(pad)
+            return len(ht)
+
+        heap_cap = grow_heap()
         heap.clear()
         hlen = array("q", (n,))
         # message pool: ensure untouched headroom for C-side allocation.
@@ -894,12 +693,11 @@ class FastEventEngine(FlatArrayEngine):
         now_io = array("q", (sched.now_tick,))
         counters = array("q", (0, 0, 0, 0))
         top_tick = array("q", (0,))
-        state = self._rstate
+        state = array("q", bytes(8 * 625))  # the MT state, while in C
         state_ptr = pointer(state.buffer_info()[0])
 
-        self._accel_setup(accel)
+        self._accel_setup(accel, groups)
         self._event_setup(accel)
-        self._ptr_dirty = False
         version, internal, gauss = rng.getstate()
         state[:] = array("q", internal)
         accel.load_state(ctx, state_ptr)
@@ -936,10 +734,7 @@ class FastEventEngine(FlatArrayEngine):
                 if reason == 0 or reason == 4:  # end of slice / empty heap
                     break
                 if reason == 1:  # cycle boundary: observers run in Python
-                    self.completed_exchanges += counters[0]
-                    self.failed_exchanges += counters[1]
-                    self.messages_sent += counters[2]
-                    self.messages_lost += counters[3]
+                    self._count(*counters)
                     counters[0] = counters[1] = counters[2] = counters[3] = 0
                     sched._seq = seq_io[0]
                     sched.now_tick = now_io[0]
@@ -952,15 +747,11 @@ class FastEventEngine(FlatArrayEngine):
                     state[:] = array("q", internal)
                     # observers may have grown buffers: re-register, then
                     # drain their pushes into the C-side heap.
-                    self._accel_setup(accel)
+                    self._accel_setup(accel, groups)
                     self._event_setup(accel)
-                    self._ptr_dirty = False
                     if heap:
                         while hlen[0] + len(heap) > heap_cap:
-                            ht.frombytes(pad)
-                            hs.frombytes(pad)
-                            hd.frombytes(pad)
-                            heap_cap += self._HEAP_HEADROOM
+                            heap_cap = grow_heap()
                         hlen_ptr = pointer(hlen.buffer_info()[0])
                         for key in heap:
                             accel.heap_push(
@@ -975,33 +766,22 @@ class FastEventEngine(FlatArrayEngine):
                         heap.clear()
                     accel.load_state(ctx, state_ptr)
                     resident = True
-                    if self._backend() != (None, accel, codes):
-                        # an observer opened an attack window, installed
-                        # a reachability predicate or swapped the
-                        # latency/loss models: hand the rest of the slice
-                        # to the Python dispatch loop.
-                        return False
+                    if self._backend() != selection:
+                        return
                 elif reason == 2:  # heap arrays full: grow and re-enter
-                    ht.frombytes(pad)
-                    hs.frombytes(pad)
-                    hd.frombytes(pad)
-                    heap_cap += self._HEAP_HEADROOM
+                    heap_cap = grow_heap()
                 elif reason == 3:  # message pool full: grow and re-enter
                     self._grow_pool(self._POOL_HEADROOM)
                     pool_cap = len(self._m_len)
                     flist.frombytes(bytes(8 * self._POOL_HEADROOM))
                     self._event_setup(accel)
-                    self._ptr_dirty = False
                 else:  # pragma: no cover - unknown reason code
                     raise RuntimeError(f"fc_event_run returned {reason}")
         finally:
             if resident:
                 accel.store_state(ctx, state_ptr)
                 rng.setstate((version, tuple(state), gauss))
-            self.completed_exchanges += counters[0]
-            self.failed_exchanges += counters[1]
-            self.messages_sent += counters[2]
-            self.messages_lost += counters[3]
+            self._count(*counters)
             # monotonic guard: if an observer raised mid-boundary after
             # pushing events, the scheduler's counter is already ahead of
             # this local -- never roll it back, or later pushes would mint
@@ -1021,4 +801,3 @@ class FastEventEngine(FlatArrayEngine):
                 packed.extend(heap)
                 heapify(packed)
             heap[:] = packed
-        return True

@@ -373,8 +373,9 @@ def _phase_request_py(store, seed, rnd, shard, nshards, n_ids,
     """Phase 1 for one shard's ids: age, select, emit request records.
 
     Returns ``(messages, failed)``; ``failed`` is only nonzero under a
-    ``reachable`` predicate (partition scenarios), which the engine
-    evaluates serially -- dead destinations are counted at delivery.
+    ``reachable`` predicate, which only the parent's serial round passes
+    (the C phases take a partition as data instead) -- dead destinations
+    are counted at delivery.
     """
     alive = store._alive
     addr_of = store._addr_of if reachable is not None else None
@@ -467,6 +468,18 @@ def _unpack_for_shard(boxes, counts, stride, c, shard, nshards):
                 list(box[hoff:hoff + npay]),
             ))
     return messages
+
+
+def _request_c(accel, store, groups, seed, rnd, shard, nshards, n_ids, box):
+    """Run `fs_request_phase` into ``box`` under the open partition
+    ``groups`` (or ``None``); returns ``(records, failed)``."""
+    store._accel_setup(accel, groups)
+    failed = array("q", (0,))
+    n = accel.shard_request(
+        store._ctx, seed, rnd, shard, nshards, n_ids,
+        Accelerator.pointer(box.buffer_info()[0]),
+        Accelerator.pointer(failed.buffer_info()[0]))
+    return int(n), failed[0]
 
 
 def _deliver_c(accel, store, seed, rnd, is_request, shard, nshards,
@@ -568,19 +581,19 @@ def _worker_main(shard, nshards, conn, config, phase_seed, omniscient,
     """Shard worker loop: strict request/response over the pipe.
 
     Commands: ``("segs", names)`` -> ``"ok"`` after (re)attaching;
-    ``("req", rnd, n_ids)`` -> request-record count;
+    ``("req", rnd, n_ids)`` -> ``(request records, failed)``;
     ``("dreq", rnd, counts)`` -> ``(completed, failed, n_replies)``;
     ``("drep", rnd, counts)`` -> ``"ok"``; ``("stop",)`` exits.
     """
     accel = load_accelerator() if use_accel else None
     shell = _ShmKernel(config, omniscient, accel)
     attachments: Dict[object, ShmVector] = {}
+    groups = None  # the open partition, by value in the "segs" handshake
     req_boxes: List[ShmVector] = []
     rep_boxes: List[ShmVector] = []
     c = config.view_size
     stride = 2 * (c + 1) + 3
     pull = config.pull
-    pointer = Accelerator.pointer
     try:
         while True:
             try:
@@ -593,20 +606,20 @@ def _worker_main(shard, nshards, conn, config, phase_seed, omniscient,
             if op == "segs":
                 req_boxes, rep_boxes = _worker_attach(
                     shell, attachments, cmd[1])
+                groups = cmd[1]["groups"]
                 conn.send("ok")
             elif op == "req":
                 rnd, n_ids = cmd[1], cmd[2]
                 box = req_boxes[shard]
                 if accel is not None:
-                    shell._accel_setup(accel)
-                    n = accel.shard_request(
-                        shell._ctx, phase_seed, rnd, shard, nshards, n_ids,
-                        pointer(box.buffer_info()[0]))
+                    conn.send(_request_c(
+                        accel, shell, groups, phase_seed, rnd, shard,
+                        nshards, n_ids, box))
                 else:
-                    messages, _ = _phase_request_py(
+                    messages, failed = _phase_request_py(
                         shell, phase_seed, rnd, shard, nshards, n_ids)
-                    n = _pack_records(box, stride, c, messages)
-                conn.send(int(n))
+                    conn.send(
+                        (_pack_records(box, stride, c, messages), failed))
             elif op == "dreq":
                 rnd, counts = cmd[1], cmd[2]
                 if accel is not None:
@@ -695,10 +708,14 @@ class ShardedCycleEngine(FlatArrayEngine):
     function of ``(seed, protocol, scenario)`` -- independent of K and
     of the backend.
 
-    Rounds with a ``reachable`` predicate installed (partition
-    scenarios) run serially in the parent for that round -- the
-    predicate is an arbitrary Python callable -- with identical
-    semantics, so partitions too are K-independent.
+    Which phases run is the kernel's one rule
+    (:meth:`~repro.simulation.arrayviews.FlatArrayEngine._backend`):
+    the C phases, a :class:`~repro.simulation.churn.TemporaryPartition`
+    window handed to all K shards as data; or the kernel's Python steps
+    -- in the workers too, except that a round under a ``reachable``
+    predicate runs serially in the parent, the only process that can
+    call it.  The semantics are identical, so partitions too are
+    K-independent.
     """
 
     shuffle_each_cycle = False
@@ -766,12 +783,15 @@ class ShardedCycleEngine(FlatArrayEngine):
         self._notify_before_cycle()
         rnd = self.cycle
         pull = self.config.pull
-        if self.shards > 1 and self.reachable is None:
-            completed, failed = self._run_round_parallel(rnd, pull)
-        elif self._accel is not None and self.reachable is None:
-            completed, failed = self._run_round_serial_c(rnd, pull)
-        else:
+        _, native = self._backend()
+        groups = native[0] if native is not None else None
+        if native is None and (self.shards == 1 or self.reachable is not None):
+            # the Python steps; a predicate only this process can call
             completed, failed = self._run_round_serial_py(rnd, pull)
+        elif self.shards > 1:
+            completed, failed = self._run_round_parallel(rnd, pull, groups)
+        else:
+            completed, failed = self._run_round_serial_c(rnd, pull, groups)
         self.completed_exchanges += completed
         self.failed_exchanges += failed
         self.cycle += 1
@@ -795,7 +815,7 @@ class ShardedCycleEngine(FlatArrayEngine):
                 self, self._phase_seed, rnd, False, replies, False)
         return completed, failed0 + failed
 
-    def _run_round_serial_c(self, rnd: int, pull: bool):
+    def _run_round_serial_c(self, rnd: int, pull: bool, groups):
         accel = self._accel
         n_ids = len(self._addr_of)
         c = self.config.view_size
@@ -805,10 +825,9 @@ class ShardedCycleEngine(FlatArrayEngine):
             nbytes = 8 * stride * self._ser_cap
             self._ser_req = array("q", bytes(nbytes))
             self._ser_rep = array("q", bytes(nbytes)) if pull else None
-        self._accel_setup(accel)
-        nreq = accel.shard_request(
-            self._ctx, self._phase_seed, rnd, 0, 1, n_ids,
-            Accelerator.pointer(self._ser_req.buffer_info()[0]))
+        nreq, cut = _request_c(
+            accel, self, groups, self._phase_seed, rnd, 0, 1, n_ids,
+            self._ser_req)
         out = _deliver_c(
             accel, self, self._phase_seed, rnd, True, 0, 1,
             (self._ser_req,), (nreq,), pull, self._ser_rep if pull else None)
@@ -817,21 +836,22 @@ class ShardedCycleEngine(FlatArrayEngine):
             _deliver_c(
                 accel, self, self._phase_seed, rnd, False, 0, 1,
                 (self._ser_rep,), (nrep,), False, None)
-        return completed, failed
+        return completed, cut + failed
 
     # -- parallel rounds ---------------------------------------------------
 
-    def _run_round_parallel(self, rnd: int, pull: bool):
+    def _run_round_parallel(self, rnd: int, pull: bool, groups):
         self._ensure_workers()
-        self._sync_shared()
+        self._sync_shared(groups)
         n_ids = len(self._addr_of)
         conns = self._conns
         for conn in conns:
             conn.send(("req", rnd, n_ids))
-        counts = [conn.recv() for conn in conns]
+        counts, cut = zip(*[conn.recv() for conn in conns])
         for conn in conns:
             conn.send(("dreq", rnd, counts))
-        completed = failed = 0
+        completed = 0
+        failed = sum(cut)
         rep_counts = []
         for conn in conns:
             done, lost, nrep = conn.recv()
@@ -876,8 +896,10 @@ class ShardedCycleEngine(FlatArrayEngine):
         self._worker_finalizer = weakref.finalize(
             self, _shutdown_workers, conns, procs)
 
-    def _sync_shared(self) -> None:
-        """Barrier bookkeeping: box capacity and worker attachments.
+    def _sync_shared(self, groups) -> None:
+        """Barrier bookkeeping: box capacity, worker attachments and the
+        open partition (``groups``: small next to the rows, so it rides
+        the handshake by value and only when it changed).
 
         Message boxes are sized for the worst case -- every node sends
         one request, and all of them could target one shard -- so no
@@ -917,6 +939,7 @@ class ShardedCycleEngine(FlatArrayEngine):
             "alive": self._alive.name,
             "req": tuple(shm.name for shm in self._req_shm),
             "rep": tuple(shm.name for shm in self._rep_shm),
+            "groups": groups,
         }
         if names != self._sent_names:
             for conn in self._conns:

@@ -103,6 +103,33 @@ class TestContinuousChurn:
         with pytest.raises(ConfigurationError):
             ContinuousChurn(-1, 0)
 
+    def test_builds_the_live_list_once_per_batch(self):
+        # Regression: one O(N) addresses() per join (100 joins a cycle at
+        # N=10^5 spent a quarter of the cycle there).  Joiners are
+        # appended instead, so later joins of the batch may draw them,
+        # exactly as when the list was rebuilt every time.
+        engine, rebuilt = make_engine(seed=4), make_engine(seed=4)
+        random_bootstrap(engine, 30)
+        random_bootstrap(rebuilt, 30)
+        calls = []
+        addresses = engine.addresses
+        engine.addresses = lambda: calls.append(None) or addresses()
+        churn = ContinuousChurn(joins_per_cycle=8, leaves_per_cycle=0)
+        for _ in range(3):
+            churn.before_cycle(engine)
+            for _ in range(8):
+                rebuilt.add_node(
+                    contacts=[rebuilt.rng.choice(rebuilt.addresses())]
+                )
+        assert len(calls) == 3 and churn.total_joined == 24
+        assert [a for a, view in engine.views().items()] == rebuilt.addresses()
+        assert engine.rng.getstate() == rebuilt.rng.getstate()
+        assert {
+            a: [d.address for d in view] for a, view in engine.views().items()
+        } == {
+            a: [d.address for d in view] for a, view in rebuilt.views().items()
+        }
+
 
 class TestTemporaryPartition:
     def test_blocks_cross_group_messages_while_active(self):
@@ -151,6 +178,31 @@ class TestTemporaryPartition:
         engine.run(1)
         newcomer = engine.add_node(contacts=[engine.addresses()[0]])
         assert engine.reachable(newcomer, engine.addresses()[0])
+
+    @pytest.mark.parametrize(
+        "engine_name", ("cycle", "fast", "event", "fast-event", "fast-sharded")
+    )
+    def test_mid_window_joiner_exchanges_with_both_sides(self, engine_name):
+        # A joiner belongs to no group.  Two nodes, split one per side,
+        # cannot reach each other, so each can only have learnt the
+        # joiner's address in an exchange with the joiner itself.
+        from repro.experiments.common import make_engine as registry_engine
+
+        config = ProtocolConfig.from_label("(rand,head,pushpull)", 5)
+        engine = registry_engine(config, seed=2, engine=engine_name)
+        random_bootstrap(engine, 2)
+        partition = TemporaryPartition(start_cycle=1, end_cycle=30)
+        engine.add_observer(partition)
+        engine.run(2)
+        left, right = engine.addresses()
+        assert partition.active and not engine.reachable(left, right)
+        joiner = engine.add_node(contacts=[left, right])
+        engine.run(10)
+        assert partition.active and joiner not in partition.groups
+        holders = {a for a, peers, _ in engine.view_rows() if joiner in peers}
+        assert holders == {left, right}
+        if hasattr(engine, "close"):
+            engine.close()
 
 
 def test_dead_link_fraction_empty_engine():

@@ -21,9 +21,11 @@ from repro.core.config import ProtocolConfig
 from repro.graph.components import component_sizes
 from repro.graph.snapshot import GraphSnapshot
 from repro.simulation._fastcore import load_accelerator
+from repro.simulation.churn import TemporaryPartition
 from repro.simulation.engine import CycleEngine
 from repro.simulation.fast import FastCycleEngine
 from repro.simulation.scenarios import random_bootstrap
+from repro.simulation.trace import Observer
 
 N_NODES = 60
 VIEW_SIZE = 7
@@ -205,6 +207,7 @@ class TestDifferentialEdgeModes:
         assert results[0] == results[1]
 
     def test_reachability_predicate(self):
+        # an arbitrary callable: the flat engine runs its Python steps
         config = ProtocolConfig.from_label("(rand,head,pushpull)", 6)
         results = []
         for cls in (CycleEngine, FastCycleEngine):
@@ -220,3 +223,51 @@ class TestDifferentialEdgeModes:
                 )
             )
         assert results[0] == results[1]
+
+
+class WindowChurn(Observer):
+    """Crashes and joins inside the partition window; on a flat engine,
+    also whether the backend rule picked the C entry point each cycle."""
+
+    def __init__(self):
+        self.native = {}
+
+    def before_cycle(self, engine):
+        if engine.cycle == 4:
+            engine.crash_random_nodes(6)
+        if engine.cycle in (5, 6):
+            engine.add_nodes(3, contacts=engine.addresses()[:3])
+        if hasattr(engine, "_backend"):
+            self.native[engine.cycle] = engine._backend()[-1] is not None
+
+
+@pytest.mark.parametrize("accelerate", BACKENDS)
+@pytest.mark.parametrize(
+    "label", ("(rand,head,pushpull)", "(tail,rand,push)", "(rand,rand,pull)")
+)
+def test_temporary_partition_window(label, accelerate):
+    # A TemporaryPartition is data to the C core: the window -- with
+    # crashes and unconstrained joiners inside it -- and the cycles after
+    # the heal run fc_run_cycle, byte-identical to the reference.
+    config = ProtocolConfig.from_label(label, VIEW_SIZE)
+    results = []
+    for engine in (
+        CycleEngine(config, seed=SEED),
+        FastCycleEngine(config, seed=SEED, accelerate=accelerate),
+    ):
+        probe = WindowChurn()
+        engine.add_observer(TemporaryPartition(start_cycle=3, end_cycle=8))
+        engine.add_observer(probe)
+        random_bootstrap(engine, N_NODES)
+        engine.run(12)
+        results.append(
+            (
+                views_fingerprint(engine.views()),
+                engine.completed_exchanges,
+                engine.failed_exchanges,
+                engine.rng.getstate(),
+            )
+        )
+    assert results[0][2] > 0  # the partition genuinely dropped traffic
+    assert results[0] == results[1]
+    assert probe.native == dict.fromkeys(range(12), accelerate)

@@ -10,10 +10,10 @@ exchange/message counters, and an indistinguishable post-run generator
 state.  Statistical assertions ride on top so a future relaxation of the
 exactness contract would still be caught at the distribution level.
 
-When a C compiler is available both accelerated paths are differentially
-tested as well: the whole-slice C loop (built-in latency/loss models)
-and the per-step hybrid (exercised here through a custom latency model
-and through reachability predicates).
+When a C compiler is available the whole-slice C loop is differentially
+tested as well (built-in latency/loss models, ``TemporaryPartition``
+windows); a custom latency model and arbitrary reachability predicates
+pin the rule that sends everything else to the Python steps.
 
 The cross-process class mirrors ``test_determinism.py`` at the process
 level: the same seed must produce the same overlay fingerprint in a
@@ -77,13 +77,19 @@ MODEL_KINDS = ["constant", "uniform+loss", "expo+loss"]
 
 
 class Churn(Observer):
-    """Deterministic crashes and joins at cycle boundaries."""
+    """Deterministic crashes and joins at cycle boundaries; on a flat
+    engine, also whether the backend rule picked the C loop each cycle."""
+
+    def __init__(self):
+        self.native = {}
 
     def before_cycle(self, engine):
         if engine.cycle in (4, 9) and len(engine) > 20:
             engine.crash_random_nodes(6)
         if engine.cycle in (6, 11):
             engine.add_nodes(4, contacts=engine.addresses()[:3])
+        if hasattr(engine, "_backend"):
+            self.native[engine.cycle] = engine._backend()[-1] is not None
 
 
 def views_fingerprint(views):
@@ -164,9 +170,8 @@ class TestDifferential:
 class _TriangularLatency(LatencyModel):
     """A latency model outside the built-in set: sum of two uniforms.
 
-    Forces the accelerated engine onto the per-step hybrid path, whose
-    draws go through the C-backed ``random.Random`` facade -- the
-    differential therefore pins that facade's bit-exactness too.
+    The C loop cannot express it, so the accelerated engine too runs
+    its Python dispatch loop, sampling it like the reference does.
     """
 
     def sample(self, rng):
@@ -250,38 +255,47 @@ class TestDifferentialEdgeModes:
 
     def test_mid_run_partition_observer(self, accelerate):
         # TemporaryPartition installs engine.reachable at a cycle
-        # boundary *mid-run*; the whole-slice C loop must hand the rest
-        # of the slice to the per-step path when that happens
-        # (regression: the accelerated path used to keep running without
-        # the predicate, silently dropping zero cross-partition messages).
+        # boundary *mid-run*, and it is data to the C core: the loop
+        # re-enters with the groups registered and stays native through
+        # the window -- crashes and unconstrained joiners inside it
+        # included -- and after the heal (regression: the accelerated
+        # path once kept running without the predicate, silently
+        # dropping zero cross-partition messages).
         from repro.simulation.churn import TemporaryPartition
 
         config = ProtocolConfig.from_label("(rand,head,pushpull)", VIEW_SIZE)
-        results = []
-        for cls, kwargs in (
-            (EventEngine, {}),
-            (FastEventEngine, {"accelerate": accelerate}),
-        ):
-            engine = cls(
-                config, seed=3, latency=ConstantLatency(0.1), **kwargs
-            )
-            engine.add_observer(
-                TemporaryPartition(start_cycle=3, end_cycle=8)
-            )
-            random_bootstrap(engine, 30)
-            engine.run(12)
-            results.append(
-                (
-                    views_fingerprint(engine.views()),
-                    engine.completed_exchanges,
-                    engine.messages_sent,
-                    engine.messages_lost,
+        for model_kind in ("constant", "uniform+loss"):
+            results = []
+            for cls, kwargs in (
+                (EventEngine, {}),
+                (FastEventEngine, {"accelerate": accelerate}),
+            ):
+                engine = cls(
+                    config, seed=3, **make_models(model_kind), **kwargs
                 )
-            )
-        assert results[0][3] > 0  # the partition genuinely dropped traffic
-        assert results[0] == results[1]
+                engine.add_observer(
+                    TemporaryPartition(start_cycle=3, end_cycle=10)
+                )
+                probe = Churn()
+                engine.add_observer(probe)
+                random_bootstrap(engine, 30)
+                engine.run(14)
+                results.append(
+                    (
+                        views_fingerprint(engine.views()),
+                        engine.completed_exchanges,
+                        engine.failed_exchanges,
+                        engine.messages_sent,
+                        engine.messages_lost,
+                        engine.rng.getstate(),
+                    )
+                )
+            assert results[0][4] > 0  # the partition dropped traffic
+            assert results[0] == results[1]
+            assert probe.native == dict.fromkeys(range(1, 15), accelerate)
 
     def test_reachability_predicate(self, accelerate):
+        # an arbitrary callable: the flat engine runs its Python steps
         config = ProtocolConfig.from_label("(rand,head,pushpull)", VIEW_SIZE)
         results = []
         for cls, kwargs in (

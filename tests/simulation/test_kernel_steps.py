@@ -6,26 +6,27 @@ written once for every array-backed executor, and ``k_select`` /
 This module pins both, step by step and draw for draw, to the reference
 node's ``begin_exchange`` / ``handle_request`` / ``handle_response`` on
 a hand-built population that has seen churn -- through the event
-engine's two step backends, which expose exactly one step per call:
-``_KernelSteps`` (the Python steps) and ``_CoreSteps`` (the C steps via
-``fc_event_begin`` / ``fc_event_deliver``).  It also pins each attack
-hook to the point where :class:`~repro.adversary.AdversarialNode`
-intercepts.  The engine-pair differential suites then only have to show
-that an executor *schedules* these steps like its reference engine does.
+engine's step calling convention, which exposes exactly one step per
+call: ``FastEventEngine._steps`` (the Python steps) and the exported
+``fc_event_begin`` / ``fc_event_deliver`` that ``fc_event_run``
+dispatches to (the C steps, driven by the local ``c_steps``).  It also
+pins each attack hook to the point where
+:class:`~repro.adversary.AdversarialNode` intercepts.  The engine-pair
+differential suites then only have to show that an executor *schedules*
+these steps like its reference engine does.
 """
+
+from array import array
+from functools import partial
 
 import pytest
 
 from repro.adversary import AdversarialNode, AdversaryState, IndexedAdversary
 from repro.core.config import ProtocolConfig
 from repro.core.descriptor import NodeDescriptor
-from repro.simulation._fastcore import load_accelerator
+from repro.simulation._fastcore import Accelerator, load_accelerator
 from repro.simulation.engine import CycleEngine
-from repro.simulation.fast_event import (
-    FastEventEngine,
-    _CoreSteps,
-    _KernelSteps,
-)
+from repro.simulation.fast_event import FastEventEngine
 from repro.workloads import AdversarySpec
 
 HAVE_ACCEL = load_accelerator() is not None
@@ -88,26 +89,43 @@ def state_of(engine):
     return rows, engine.rng.getstate()
 
 
+def c_steps(flat):
+    """The exported C steps as a ``(begin, deliver)`` pair like
+    ``FastEventEngine._steps``, one step per call, bracketed the way
+    ``fc_event_run`` brackets a whole slice: register the buffers, move
+    the MT state into the core, step, move it back -- so the Python
+    ``Random`` is comparable between any two steps."""
+    accel, ctx = flat._accel, flat._ctx
+
+    def step(call, *args):
+        flat._accel_setup(accel)
+        flat._event_setup(accel)
+        version, internal, gauss = flat.rng.getstate()
+        state = array("q", internal)
+        pointer = Accelerator.pointer(state.buffer_info()[0])
+        accel.load_state(ctx, pointer)
+        try:
+            return call(ctx, *args)
+        finally:
+            accel.store_state(ctx, pointer)
+            flat.rng.setstate((version, tuple(state), gauss))
+
+    return partial(step, accel.event_begin), partial(step, accel.event_deliver)
+
+
 def in_lockstep(reference, flat, nodes, steps):
     """One initiation per live node on both sides, compared per step.
 
-    ``steps`` is a dispatch-loop step backend: ``begin`` is select +
-    request payload, ``deliver`` is reply payload + receive, buffers
-    travel through the engine's message slots.  The C backend keeps the
-    MT state resident between ``enter`` and ``leave``, so every step is
-    bracketed and the Python ``Random`` is comparable in between.
+    ``steps`` is a ``(begin, deliver)`` pair in the dispatch loops'
+    calling convention: ``begin`` is select + request payload,
+    ``deliver`` is reply payload + receive, buffers travel through the
+    engine's message slots.
     """
+    begin, deliver = steps
     id_of = flat._id_of
     pull = flat.config.pull
     stride = flat._slot_stride
-    request_slot, reply_slot = steps.new_slot(), steps.new_slot()
-
-    def step(call, *args):
-        steps.enter()
-        try:
-            return call(*args)
-        finally:
-            steps.leave()
+    request_slot, reply_slot = flat._new_slot(), flat._new_slot()
 
     def shipped(slot, sender):
         flat._m_src[slot] = sender  # the loop's send tail records it
@@ -126,7 +144,7 @@ def in_lockstep(reference, flat, nodes, steps):
     for address in reference.addresses():
         i = id_of[address]
         exchange = nodes[address].begin_exchange()
-        p = step(steps.begin, i, request_slot)
+        p = begin(i, request_slot)
         assert state_of(flat) == state_of(reference), address
         if exchange is None:
             assert p == -1, address
@@ -139,14 +157,14 @@ def in_lockstep(reference, flat, nodes, steps):
         response = nodes[exchange.peer].handle_request(
             address, exchange.payload
         )
-        step(steps.deliver, p, request_slot, reply_slot if pull else -1)
+        deliver(p, request_slot, reply_slot if pull else -1)
         assert (response is None) == (not pull), address
         if response is not None:
             assert shipped(reply_slot, p) == arrived(response), address
         assert state_of(flat) == state_of(reference), address
         if response is not None:
             nodes[address].handle_response(exchange.peer, response)
-            step(steps.deliver, i, reply_slot, -1)
+            deliver(i, reply_slot, -1)
             assert state_of(flat) == state_of(reference), address
         exchanges += 1
     return exchanges
@@ -180,11 +198,7 @@ def test_steps_agree_with_the_reference_node(
     nodes = {
         address: reference.node(address) for address in reference.addresses()
     }
-    steps = (
-        _CoreSteps(flat, flat._accel)
-        if accelerate
-        else _KernelSteps(flat, None)
-    )
+    steps = c_steps(flat) if accelerate else flat._steps(None)
     for _ in range(3):  # dead references age and decay across rounds
         assert in_lockstep(reference, flat, nodes, steps) > 0
 
@@ -223,7 +237,7 @@ def attacked_population(kind, label, omniscient=True):
 def test_hooks_agree_with_the_adversarial_node(kind, propagation, validate):
     label = f"(rand,rand,{propagation}){validate}"
     reference, flat, nodes, hooks = attacked_population(kind, label)
-    steps = _KernelSteps(flat, hooks)
+    steps = flat._steps(hooks)
     assert in_lockstep(reference, flat, nodes, steps) > 0
     for victim in VICTIMS:  # eclipse falls back to the honest selection
         reference.remove_node(victim)

@@ -21,8 +21,10 @@ from repro.core.errors import ConfigurationError
 from repro.graph.components import component_sizes
 from repro.graph.snapshot import GraphSnapshot
 from repro.simulation._fastcore import load_accelerator
+from repro.simulation.churn import TemporaryPartition
 from repro.simulation.scenarios import random_bootstrap
 from repro.simulation.sharded import ShardedCycleEngine, resolve_shards
+from repro.simulation.trace import Observer
 
 N_NODES = 48
 VIEW_SIZE = 7
@@ -167,7 +169,7 @@ class TestEdgeModes:
         assert results[0]["failed"] > 0  # churn phase exercises dead peers
 
     def test_reachability_predicate_matches_across_shards(self):
-        # Partition scenarios fall back to the in-parent serial phases;
+        # An arbitrary callable falls back to the in-parent serial phases;
         # results must still be independent of the configured shard count.
         config = grid_config("(rand,head,pushpull)", 0, 0)
         results = []
@@ -190,6 +192,77 @@ class TestEdgeModes:
                 engine.close()
         assert results[0] == results[1]
         assert results[0][2] > 0
+
+
+class WindowChurn(Observer):
+    """Crashes and joins inside the partition window, and whether the
+    backend rule picked the C phases each round."""
+
+    def __init__(self):
+        self.native = {}
+
+    def before_cycle(self, engine):
+        if engine.cycle == 4:
+            engine.crash_random_nodes(6)
+        if engine.cycle in (5, 6):
+            engine.add_nodes(3, contacts=engine.addresses()[:3])
+        self.native[engine.cycle] = engine._backend()[-1] is not None
+
+
+def run_partition_window(engine):
+    serial_py_rounds = []
+    serial_py = engine._run_round_serial_py
+    engine._run_round_serial_py = lambda rnd, pull: (
+        serial_py_rounds.append(rnd) or serial_py(rnd, pull)
+    )
+    probe = WindowChurn()
+    engine.add_observer(TemporaryPartition(start_cycle=3, end_cycle=8))
+    engine.add_observer(probe)
+    try:
+        random_bootstrap(engine, N_NODES)
+        engine.run(12)
+        result = (
+            views_fingerprint(engine.views()),
+            engine.completed_exchanges,
+            engine.failed_exchanges,
+            engine.rng.getstate(),
+        )
+    finally:
+        engine.close()
+    return result, probe.native, serial_py_rounds
+
+
+@pytest.mark.parametrize(
+    "label", ("(rand,head,pushpull)", "(tail,rand,push)", "(rand,rand,pull)")
+)
+def test_temporary_partition_window(label):
+    # A TemporaryPartition is data to the C phases: the window -- with
+    # crashes and unconstrained joiners inside it -- and the rounds
+    # after the heal stay in C and on K shards, byte-identical to the
+    # family reference (the serial Python rounds calling the predicate).
+    config = grid_config(label, 0, 0)
+    reference, native, serial_py_rounds = run_partition_window(
+        ShardedCycleEngine(config, seed=SEED, accelerate=False, shards=1)
+    )
+    assert reference[2] > 0  # the partition genuinely dropped traffic
+    assert not any(native.values())
+    assert serial_py_rounds == list(range(12))
+    for shards in (1, 2, 3) if HAVE_ACCEL else ():
+        result, native, serial_py_rounds = run_partition_window(
+            ShardedCycleEngine(
+                config, seed=SEED, accelerate=True, shards=shards
+            )
+        )
+        assert result == reference
+        assert native == dict.fromkeys(range(12), True)
+        assert serial_py_rounds == []
+    # without a C core the window runs serially in the parent, the rest
+    # in the Python workers: still the same overlay
+    result, _, serial_py_rounds = run_partition_window(
+        ShardedCycleEngine(config, seed=SEED, accelerate=False, shards=2)
+    )
+    assert result == reference
+    assert serial_py_rounds == list(range(3, 8))
 
 
 _SUBPROCESS_SCRIPT = """
