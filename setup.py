@@ -45,7 +45,7 @@ setup(
     python_requires=">=3.9",
     install_requires=["numpy"],
     extras_require={
-        "test": ["pytest", "pytest-benchmark", "pytest-timeout", "hypothesis"],
+        "test": ["pytest", "pytest-timeout", "hypothesis"],
         "metrics": ["scipy"],
     },
     entry_points={

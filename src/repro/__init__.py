@@ -21,8 +21,8 @@ The package provides:
 - :mod:`repro.baselines` -- the ideal uniform random sampler and the random
   view topology the paper compares against.
 - :mod:`repro.extensions` -- protocols from the paper's related/future work
-  (Cyclon shuffling, SCAMP-style reactive membership, combined second-view
-  services).
+  (Cyclon shuffling, PeerSwap, the Brahms defended sampler, combined
+  second-view services).
 - :mod:`repro.experiments` -- one module per paper table/figure, regenerating
   the reported rows and series.
 - :mod:`repro.net` -- the deployment layer: asyncio UDP daemons running the

@@ -28,9 +28,9 @@
 :class:`NetworkInterceptor` (via :func:`intercept_network`) is the
 wire-level alternative for the live layer: it hooks
 :meth:`~repro.net.transport.LoopbackNetwork.deliver` and rewrites or
-drops attacker-sent *datagrams* (decode, forge, re-encode in the same
-wire version), demonstrating that the attacks need no cooperation from
-the node software at all.  The engine installers use node wrapping
+drops attacker-sent *datagrams* (decode, forge, re-encode),
+demonstrating that the attacks need no cooperation from the node
+software at all.  The engine installers use node wrapping
 because it preserves cross-engine byte-identity; the interceptor is for
 transport-focused tests and demos.
 """
@@ -290,8 +290,8 @@ class NetworkInterceptor:
 
     Rewrites (or swallows) datagrams *sent by attackers* while the
     attack window is active: the codec frame is decoded, forged
-    according to the spec kind, and re-encoded in the wire version it
-    arrived in; unparsable data passes through untouched.  Install via
+    according to the spec kind, and re-encoded; unparsable data passes
+    through untouched.  Install via
     :func:`intercept_network`, remove with :meth:`uninstall`.
     """
 
@@ -324,7 +324,7 @@ class NetworkInterceptor:
             return None
         try:
             kind_byte, exchange_id = _ENVELOPE.unpack_from(data, 0)
-            version, payload = decode_frame(bytes(data[_ENVELOPE.size:]))
+            _, payload = decode_frame(bytes(data[_ENVELOPE.size:]))
         except (CodecError, struct_error):
             # Not a gossip frame (or truncated): forward untouched.
             self.forwarded += 1
@@ -339,9 +339,8 @@ class NetworkInterceptor:
                 return self._original(sender, destination, data)
             payload = state.poison_payload(sender)
         self.rewritten += 1
-        frame = _ENVELOPE.pack(kind_byte, exchange_id) + encode_message(
-            payload, version=version
-        )
+        envelope = _ENVELOPE.pack(kind_byte, exchange_id)
+        frame = envelope + encode_message(payload)
         return self._original(sender, destination, frame)
 
 

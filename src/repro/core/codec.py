@@ -1,24 +1,15 @@
 """Wire codec: serialize descriptors and view messages.
 
 The simulation engines pass descriptor objects by reference, but a real
-deployment ships views over the network (see :mod:`repro.net`).  This
-module defines two versioned wire formats for the two message kinds of the
-protocol skeleton (requests and replies are both just descriptor lists):
+deployment ships views over the network (see :mod:`repro.net`).  Both
+message kinds of the protocol skeleton (requests and replies are just
+descriptor lists) travel in one format, **v2**: a struct-packed binary
+frame (magic byte :data:`V2_MAGIC` + version byte + entry count + entry
+list).  A frame whose first byte is not a known magic is a
+:class:`CodecError`, which receivers count and drop.
 
-- **v1** -- compact UTF-8 JSON, ``{"v": 1, "view": [[addr, hops], ...]}``.
-  Human-readable, schema-stable; kept decodable forever so heterogeneous
-  deployments can always fall back to it.
-- **v2** -- struct-packed binary frames (magic byte + version + entry
-  list).  Roughly 2-4x smaller than v1 for typical views and much cheaper
-  to parse; the default on-the-wire format of the :mod:`repro.net` daemon.
-
-:func:`decode_frame` sniffs the version from the first byte, so a receiver
-accepts both formats transparently and can answer in whichever version the
-request used -- that is the whole version-negotiation scheme: *reply in the
-version you were asked in* (see ``GossipDaemon``).
-
-Either format can additionally be wrapped in a **signed frame** (magic
-byte :data:`SIGNED_MAGIC` + truncated HMAC-SHA256 tag + inner frame;
+A frame can additionally be wrapped in a **signed frame** (magic byte
+:data:`SIGNED_MAGIC` + truncated HMAC-SHA256 tag + inner frame;
 :func:`encode_signed_message` / :func:`decode_signed_frame`) when a
 deployment shares a pre-distributed symmetric key -- the keyed daemon
 drops unsigned and unverifiable datagrams, which shuts wire-level
@@ -42,24 +33,14 @@ from typing import List, NamedTuple, Tuple
 from repro.core.descriptor import Address, NodeDescriptor
 from repro.core.errors import ReproError
 
-WIRE_FORMAT_VERSION = 1
-"""The JSON wire format (bumped on any incompatible change to its layout)."""
-
 WIRE_FORMAT_V2 = 2
-"""The binary struct-packed wire format."""
-
-SUPPORTED_WIRE_VERSIONS = (WIRE_FORMAT_VERSION, WIRE_FORMAT_V2)
-"""Every version :func:`decode_frame` accepts."""
+"""The binary struct-packed wire format, the only data-plane format."""
 
 MAX_MESSAGE_BYTES = 1 << 20  # 1 MiB: a view message is a few KiB at most
 """Hard cap applied on both encode and decode."""
 
 V2_MAGIC = 0x97
-"""First byte of every v2 frame.
-
-Deliberately outside printable ASCII (and invalid as a UTF-8 start byte of
-any JSON document), so v1 and v2 frames can never be confused.
-"""
+"""First byte of every v2 frame (outside printable ASCII)."""
 
 _V2_HEADER = struct.Struct("!BBH")  # magic, version, entry count
 _V2_INT_ENTRY = struct.Struct("!BqI")  # tag 0, int64 address, hop count
@@ -90,56 +71,6 @@ def _check_address(address: Address) -> Address:
     raise CodecError(
         f"address {address!r} is not wire-serializable (need str or int)"
     )
-
-
-def encode_descriptor(descriptor: NodeDescriptor) -> List:
-    """One descriptor as a compact ``[address, hop_count]`` pair (v1)."""
-    return [_check_address(descriptor.address), descriptor.hop_count]
-
-
-def decode_descriptor(payload: object) -> NodeDescriptor:
-    """Inverse of :func:`encode_descriptor` (validating the payload)."""
-    if (
-        not isinstance(payload, list)
-        or len(payload) != 2
-        or not isinstance(payload[0], (str, int))
-        or isinstance(payload[0], bool)
-        or not isinstance(payload[1], int)
-        or isinstance(payload[1], bool)
-        or payload[1] < 0
-    ):
-        raise CodecError(f"malformed descriptor payload: {payload!r}")
-    return NodeDescriptor(payload[0], payload[1])
-
-
-# -- v1: JSON ----------------------------------------------------------------
-
-
-def _encode_v1(descriptors: List[NodeDescriptor]) -> bytes:
-    body = {
-        "v": WIRE_FORMAT_VERSION,
-        "view": [encode_descriptor(d) for d in descriptors],
-    }
-    return json.dumps(body, separators=(",", ":")).encode("utf-8")
-
-
-def _decode_v1(data: bytes) -> List[NodeDescriptor]:
-    try:
-        body = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        # json.JSONDecodeError subclasses ValueError; catching the base
-        # class guarantees malformed input never leaks a non-CodecError.
-        raise CodecError(f"undecodable message: {exc}") from exc
-    if not isinstance(body, dict):
-        raise CodecError("message body must be an object")
-    if body.get("v") != WIRE_FORMAT_VERSION:
-        raise CodecError(
-            f"unsupported wire format version: {body.get('v')!r}"
-        )
-    view = body.get("view")
-    if not isinstance(view, list):
-        raise CodecError("message is missing its view list")
-    return [decode_descriptor(entry) for entry in view]
 
 
 # -- v2: struct-packed binary ------------------------------------------------
@@ -174,11 +105,9 @@ def _encode_v2(descriptors: List[NodeDescriptor]) -> bytes:
 
 def _decode_v2(data: bytes) -> List[NodeDescriptor]:
     try:
-        magic, version, count = _V2_HEADER.unpack_from(data, 0)
+        _, version, count = _V2_HEADER.unpack_from(data, 0)
     except struct.error as exc:
         raise CodecError(f"truncated v2 header: {exc}") from exc
-    if magic != V2_MAGIC:
-        raise CodecError(f"bad v2 magic byte: {magic:#x}")
     if version != WIRE_FORMAT_V2:
         raise CodecError(f"unsupported wire format version: {version}")
     offset = _V2_HEADER.size
@@ -213,10 +142,10 @@ def _decode_v2(data: bytes) -> List[NodeDescriptor]:
     return descriptors
 
 
-# -- signed frames: HMAC-wrapped v1/v2 ---------------------------------------
+# -- signed frames: HMAC-wrapped v2 ------------------------------------------
 #
 # A signed frame is one byte of magic, a truncated HMAC-SHA256 tag over
-# the inner frame, then an ordinary v1/v2 gossip frame.  The signature
+# the inner frame, then an ordinary v2 gossip frame.  The signature
 # wraps the *transport bytes* only: protocol state and RNG consumption
 # are untouched, which is what keeps a keyed live run byte-identical to
 # the unkeyed one (and to the cycle engines).
@@ -224,9 +153,9 @@ def _decode_v2(data: bytes) -> List[NodeDescriptor]:
 SIGNED_MAGIC = 0x9E
 """First byte of every signed frame.
 
-Outside printable ASCII, invalid as a UTF-8 start byte, and distinct
-from :data:`V2_MAGIC` and :data:`CONTROL_MAGIC`, so all four frame
-families are mutually unmistakable from their first byte."""
+Outside printable ASCII and distinct from :data:`V2_MAGIC` and
+:data:`CONTROL_MAGIC`, so the three frame families are mutually
+unmistakable from their first byte."""
 
 SIGNATURE_BYTES = 16
 """Truncated HMAC-SHA256 tag length.  128 bits of MAC strength -- far
@@ -247,7 +176,7 @@ def is_signed_frame(data: bytes) -> bool:
 def encode_signed_message(
     descriptors: List[NodeDescriptor],
     key: bytes,
-    version: int = WIRE_FORMAT_VERSION,
+    version: int = WIRE_FORMAT_V2,
 ) -> bytes:
     """A view message wrapped in a truncated HMAC-SHA256 signature.
 
@@ -296,22 +225,19 @@ def decode_signed_frame(
 
 def encode_message(
     descriptors: List[NodeDescriptor],
-    version: int = WIRE_FORMAT_VERSION,
+    version: int = WIRE_FORMAT_V2,
 ) -> bytes:
-    """A full view message (request or reply) in the given wire version.
+    """A full view message (request or reply) as a v2 frame.
 
-    The default stays v1 (JSON) for compatibility with existing consumers;
-    the networked daemon passes ``version=WIRE_FORMAT_V2`` explicitly.
-    Raises :class:`CodecError` for unknown versions and for messages that
-    would exceed :data:`MAX_MESSAGE_BYTES` -- the cap is enforced on encode
-    so an oversized frame is rejected before it ever reaches a socket.
+    ``version`` is the stamp written into the frame header; only
+    :data:`WIRE_FORMAT_V2` exists.  Raises :class:`CodecError` for any
+    other version and for messages that would exceed
+    :data:`MAX_MESSAGE_BYTES` -- the cap is enforced on encode so an
+    oversized frame is rejected before it ever reaches a socket.
     """
-    if version == WIRE_FORMAT_VERSION:
-        data = _encode_v1(descriptors)
-    elif version == WIRE_FORMAT_V2:
-        data = _encode_v2(descriptors)
-    else:
+    if version != WIRE_FORMAT_V2:
         raise CodecError(f"unsupported wire format version: {version!r}")
+    data = _encode_v2(descriptors)
     if len(data) > MAX_MESSAGE_BYTES:
         raise CodecError(
             f"encoded message of {len(data)} bytes exceeds the "
@@ -321,11 +247,11 @@ def encode_message(
 
 
 def decode_frame(data: bytes) -> Tuple[int, List[NodeDescriptor]]:
-    """Decode a message of either version; return ``(version, view)``.
+    """Decode a v2 message; return ``(version, view)``.
 
-    The version is sniffed from the first byte (:data:`V2_MAGIC` cannot
-    start a JSON document), which is what lets a receiver accept both
-    formats and reply in the sender's version (version negotiation).
+    Anything whose first byte is not :data:`V2_MAGIC` is a
+    :class:`CodecError` -- including signed frames, which only
+    :func:`decode_signed_frame` may open.
     """
     if len(data) > MAX_MESSAGE_BYTES:
         raise CodecError(f"message of {len(data)} bytes exceeds the limit")
@@ -340,11 +266,11 @@ def decode_frame(data: bytes) -> Tuple[int, List[NodeDescriptor]]:
             "signed frame received without a verification key "
             "(use decode_signed_frame)"
         )
-    return WIRE_FORMAT_VERSION, _decode_v1(data)
+    raise CodecError(f"unknown frame magic byte: {data[0]:#x}")
 
 
 def decode_message(data: bytes) -> List[NodeDescriptor]:
-    """Decode a message of either supported version (validating shape)."""
+    """Decode a v2 message (validating shape); return the view only."""
     return decode_frame(data)[1]
 
 
@@ -362,10 +288,9 @@ def decode_message(data: bytes) -> List[NodeDescriptor]:
 CONTROL_MAGIC = 0x9C
 """First byte of every control frame.
 
-Like :data:`V2_MAGIC` it is outside printable ASCII and invalid as a
-UTF-8 start byte, and it differs from :data:`V2_MAGIC`, so control
-frames, v2 gossip frames and v1 JSON documents are mutually
-unmistakable from their first byte.
+Like :data:`V2_MAGIC` it is outside printable ASCII, and it differs
+from :data:`V2_MAGIC` and :data:`SIGNED_MAGIC`, so control frames and
+gossip frames are mutually unmistakable from their first byte.
 """
 
 CONTROL_VERSION = 1

@@ -56,7 +56,8 @@ class ProtocolConfig:
     keep_self_descriptors:
         If ``True``, a node's own descriptor may enter its view through
         merges.  The default ``False`` matches Newscast and the reference
-        implementations; the ablation benchmark quantifies the difference.
+        implementations; ``TestAblations`` in
+        ``tests/simulation/test_engine.py`` measures the difference.
     healer:
         The *healer* parameter ``H`` of the authors' later formalization
         (Jelasity et al., ACM TOCS 2007, "Gossip-based Peer Sampling").
@@ -212,10 +213,9 @@ class NetworkConfig:
         merged -- a late merge would resurrect descriptors the view
         selection already aged past.
     wire_version:
-        Codec version used for *initiated* requests
-        (:data:`repro.core.codec.WIRE_FORMAT_V2` by default).  Responders
-        always answer in the version the request arrived in, so mixed
-        clusters interoperate without any handshake.
+        The version stamp written into every gossip frame.  Only
+        :data:`repro.core.codec.WIRE_FORMAT_V2` exists; any other value is
+        a :class:`~repro.core.errors.ConfigurationError`.
     bind_host:
         Interface the UDP transport binds to.  The default loopback
         address keeps accidental exposure impossible; a real deployment
@@ -238,7 +238,7 @@ class NetworkConfig:
     auth_key: "bytes | None" = None
 
     def __post_init__(self) -> None:
-        from repro.core.codec import SUPPORTED_WIRE_VERSIONS
+        from repro.core.codec import WIRE_FORMAT_V2
 
         if self.auth_key is not None and (
             not isinstance(self.auth_key, bytes) or not self.auth_key
@@ -259,9 +259,9 @@ class NetworkConfig:
             raise ConfigurationError(
                 f"request_timeout must be > 0, got {self.request_timeout}"
             )
-        if self.wire_version not in SUPPORTED_WIRE_VERSIONS:
+        if self.wire_version != WIRE_FORMAT_V2:
             raise ConfigurationError(
-                f"wire_version must be one of {SUPPORTED_WIRE_VERSIONS}, "
+                f"wire_version must be {WIRE_FORMAT_V2}, "
                 f"got {self.wire_version}"
             )
 

@@ -207,7 +207,7 @@ def report(result: AttackResult) -> str:
 
 
 def summary_dict(result: AttackResult) -> Dict[str, Any]:
-    """JSON-ready summary (what ``BENCH_attack.json`` uploads)."""
+    """JSON-ready summary of the sweep (scale, then one dict per row)."""
     return {
         "scale": result.scale.name,
         "n_nodes": result.scale.n_nodes,

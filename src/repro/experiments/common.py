@@ -288,7 +288,7 @@ def resolve_workers(
         )
         if (os.cpu_count() or 1) == 1:
             # A scale-defaulted pool on a single core is pure overhead
-            # (BENCH_run_plan records a 0.5x loss); fall back to the
+            # (a 0.5x loss was measured); fall back to the
             # in-process serial path.  An explicit `workers` argument or
             # $REPRO_WORKERS still wins -- the user asked for a pool.
             workers = 1

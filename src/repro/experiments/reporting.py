@@ -1,8 +1,7 @@
 """Plain-text reporting: tables and series in the paper's shape.
 
-Every experiment's ``report()`` renders through these helpers so that
-benchmark output, the CLI runner and EXPERIMENTS.md all show identical
-rows.
+Every experiment's ``report()`` renders through these helpers, so every
+artefact prints its rows in one shape.
 """
 
 from __future__ import annotations

@@ -1,13 +1,11 @@
 """Protocols beyond the paper's 27-instance design space.
 
 Implementations of the paper's related work (Section 9) and future-work
-suggestions (Section 10), used as extra comparators by the extension
-benchmarks:
+suggestions (Section 10), used as extra comparators by the attack
+artefact and the Section 8/10 partition tests:
 
 - :mod:`repro.extensions.cyclon` -- Cyclon's age-based shuffling (the main
   follow-on peer sampling design; drives the same simulation engines);
-- :mod:`repro.extensions.scamp` -- a SCAMP-style reactive subscription
-  protocol (related work: probabilistically sized static views);
 - :mod:`repro.extensions.second_view` -- the paper's Section 10 proposal:
   run several protocol instances concurrently ("a second view for
   gossiping membership information") and sample from the combined views;
@@ -33,7 +31,6 @@ from repro.extensions.registry import (
     extension_protocol,
     is_extension_protocol,
 )
-from repro.extensions.scamp import ScampConfig, ScampNetwork
 from repro.extensions.second_view import CombinedOverlay, CombinedSamplingService
 
 __all__ = [
@@ -47,8 +44,6 @@ __all__ = [
     "ExtensionProtocol",
     "PeerSwapConfig",
     "PeerSwapNode",
-    "ScampConfig",
-    "ScampNetwork",
     "brahms_engine",
     "cyclon_engine",
     "extension_protocol",

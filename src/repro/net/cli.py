@@ -99,11 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="pull-reply timeout (default 0.5)",
     )
     parser.add_argument(
-        "--wire-version", type=int, default=2, choices=(1, 2),
-        help="codec version for initiated requests (default 2; replies "
-        "always mirror the requester's version)",
-    )
-    parser.add_argument(
         "--cycles", type=int, default=None, metavar="N",
         help="stop after N gossip cycles (default: run until interrupted)",
     )
@@ -154,7 +149,6 @@ async def _run_daemon(args: argparse.Namespace) -> int:
         cycle_seconds=args.cycle,
         jitter=args.jitter,
         request_timeout=args.timeout,
-        wire_version=args.wire_version,
         bind_host=host,
     )
     rng = random.Random(args.seed)

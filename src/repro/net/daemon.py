@@ -7,8 +7,7 @@ behind a :class:`~repro.net.transport.DatagramTransport`:
   calls ``begin_exchange`` and ships the request; for pull/pushpull
   protocols it then awaits the reply under a timeout;
 - the **passive thread** is the transport's receive callback: decode,
-  ``handle_request``, send back the reply (for pull/pushpull) *in the wire
-  version the request arrived in* -- the codec's version negotiation.
+  ``handle_request``, send back the reply (for pull/pushpull).
 
 Failure handling follows the paper's model plus the minimum a deployment
 needs: lost datagrams are simply lost, a pull reply that misses the
@@ -98,8 +97,8 @@ class GossipDaemon:
         A started-or-startable datagram endpoint; the daemon takes over
         its receive callback.
     network:
-        Timing knobs (cycle length, jitter, request timeout, preferred
-        wire version).
+        Timing knobs (cycle length, jitter, request timeout) and the
+        optional signing key.
     rng:
         Source of jitter randomness; defaults to a fresh ``Random``.
         Deterministic tests hand in a seeded instance.
@@ -227,13 +226,9 @@ class GossipDaemon:
         self.stats.exchanges_initiated += 1
         key = self.network.auth_key
         if key is not None:
-            payload = encode_signed_message(
-                exchange.payload, key, version=self.network.wire_version
-            )
+            payload = encode_signed_message(exchange.payload, key)
         else:
-            payload = encode_message(
-                exchange.payload, version=self.network.wire_version
-            )
+            payload = encode_message(exchange.payload)
         request = _ENVELOPE.pack(_KIND_REQUEST, exchange_id) + payload
         if not self.node.config.pull:
             # Push-only: fire and forget, nothing to await.
@@ -277,11 +272,9 @@ class GossipDaemon:
             if key is not None:
                 # Keyed daemons accept nothing unauthenticated: unsigned
                 # and unverifiable frames alike are dropped and counted.
-                version, view = decode_signed_frame(
-                    data[_ENVELOPE.size :], key
-                )
+                _, view = decode_signed_frame(data[_ENVELOPE.size :], key)
             else:
-                version, view = decode_frame(data[_ENVELOPE.size :])
+                _, view = decode_frame(data[_ENVELOPE.size :])
         except AuthenticationError:
             self.stats.auth_failures += 1
             return
@@ -293,14 +286,11 @@ class GossipDaemon:
             with self.service.lock:
                 reply = self.node.handle_request(sender, view)
             if reply is not None:
-                # Version negotiation: answer in the requester's version.
                 try:
                     if key is not None:
-                        payload = encode_signed_message(
-                            reply, key, version=version
-                        )
+                        payload = encode_signed_message(reply, key)
                     else:
-                        payload = encode_message(reply, version=version)
+                        payload = encode_message(reply)
                 except CodecError:
                     self.stats.invalid_messages += 1
                     return

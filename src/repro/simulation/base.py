@@ -93,7 +93,7 @@ class BaseEngine:
         "selectPeer() returns the address of a live node" specification (in
         practice: timeout plus reselection).  Dead descriptors still occupy
         view slots.  Set ``False`` to let nodes target crashed peers and
-        waste their turn -- the ablation benchmark measures the impact."""
+        waste their turn -- an ablation test measures the impact."""
         self._nodes: Dict[Address, GossipNode] = {}
         self._next_auto_address = 0
         self.cycle = 0

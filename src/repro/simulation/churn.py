@@ -6,7 +6,7 @@ Building blocks for the robustness experiments:
   (paper Section 7, the 50% failure of Figure 7);
 - :class:`CatastrophicFailure` -- the same as a scheduled observer;
 - :class:`ContinuousChurn` -- steady join/leave per cycle (beyond the
-  paper's scenarios, used by the churn example and extension benches);
+  paper's scenarios, behind the ``continuous-churn`` workload event);
 - :class:`TemporaryPartition` -- a network split that later heals, the
   situation the paper's discussion (Section 8) warns quick self-healing
   protocols are vulnerable to.
@@ -124,8 +124,8 @@ class TemporaryPartition(Observer):
 
     The paper's discussion (Section 8) notes that with *head* view
     selection "all partitions will forget about each other very quickly",
-    so quick self-healing becomes a disadvantage -- the partition ablation
-    bench reproduces exactly that.
+    so quick self-healing becomes a disadvantage -- the integration test
+    ``test_partition_behavior.py`` reproduces exactly that.
     """
 
     def __init__(

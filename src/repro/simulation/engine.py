@@ -44,7 +44,7 @@ class CycleEngine(BaseEngine):
     shuffle_each_cycle: bool = True
     """When ``True`` (the default, and the paper's model) nodes initiate in
     a fresh random permutation each cycle.  Setting this to ``False`` fixes
-    the insertion order; the ordering ablation benchmark uses this."""
+    the insertion order; the ordering ablation test uses this."""
 
     def run_cycle(self) -> None:
         """Execute one full cycle: every live node initiates once."""

@@ -5,7 +5,8 @@ exactly, real deployments are asynchronous: every node fires its active
 thread on a private timer ("wait(T time units)" in Figure 1), requests and
 replies travel with latency, and messages can be lost.  This engine models
 that, so that the cycle-level findings can be validated under a more
-realistic execution model (the ``bench_engines`` ablation does this).
+realistic execution model (``tests/simulation/test_event_engine.py``
+checks the degree regime under latency and loss).
 
 Model
 -----

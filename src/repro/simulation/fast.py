@@ -60,12 +60,12 @@ When to prefer which engine
 ---------------------------
 
 - ``CycleEngine`` -- small populations, custom node factories (Cyclon,
-  SCAMP, second-view extensions), or when per-node instrumentation of the
-  ``GossipNode`` state machine is needed.
+  PeerSwap, Brahms, second-view extensions), or when per-node
+  instrumentation of the ``GossipNode`` state machine is needed.
 - ``FastCycleEngine`` -- large populations (10^4 .. 10^5+ nodes) running
   the built-in generic protocol; identical results, far faster and a
-  fraction of the memory (see ``benchmarks/bench_fast_engine.py`` for the
-  measured speedup table, summarized in ``ROADMAP.md``).
+  fraction of the memory (the ``benchmarks/perf`` ledger records the
+  fast/cycle ratio as ``simulation.fast_over_cycle_ratio``).
 - ``EventEngine`` / ``FastEventEngine`` -- asynchronous message timing
   studies (the latter is the large-scale array-backed version).
 """

@@ -779,7 +779,7 @@ class PlanResult:
         Equal digests mean the two executions produced byte-identical
         records (overlay digests, measurements, metadata and ordering;
         wall-clock timings excluded) -- the single number the
-        serial-vs-parallel conformance suite and the benchmark compare.
+        serial-vs-parallel conformance suite compares.
         """
         canonical = json.dumps(
             [record.canonical_dict() for record in self.records],

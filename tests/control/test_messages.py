@@ -44,7 +44,7 @@ class TestControlCodec:
         frame = encode_control(KIND_HEARTBEAT, {"address": "a:1"})
         assert is_control_frame(frame)
         assert not is_control_frame(b"")
-        assert not is_control_frame(b'{"view": []}')  # gossip v1 frame
+        assert not is_control_frame(b'{"view": []}')  # a bare JSON document
 
     def test_request_id_bounds(self):
         encode_control(1, {}, 0)

@@ -8,49 +8,20 @@ from hypothesis import strategies as st
 
 from repro.core.codec import (
     MAX_MESSAGE_BYTES,
-    SUPPORTED_WIRE_VERSIONS,
+    SIGNED_MAGIC,
     V2_MAGIC,
     WIRE_FORMAT_V2,
-    WIRE_FORMAT_VERSION,
     CodecError,
-    decode_descriptor,
     decode_frame,
     decode_message,
-    encode_descriptor,
     encode_message,
 )
 from repro.core.descriptor import NodeDescriptor
 
 
-class TestDescriptorCodec:
-    def test_round_trip(self):
-        original = NodeDescriptor("node-1", 5)
-        assert decode_descriptor(encode_descriptor(original)) == original
-
-    def test_integer_addresses(self):
-        original = NodeDescriptor(42, 0)
-        assert decode_descriptor(encode_descriptor(original)) == original
-
-    def test_unserializable_address_rejected(self):
-        with pytest.raises(CodecError):
-            encode_descriptor(NodeDescriptor(("tuple", "addr"), 1))
-
-    @pytest.mark.parametrize(
-        "payload",
-        [
-            [],
-            ["a"],
-            ["a", 1, 2],
-            ["a", "not-an-int"],
-            ["a", -1],
-            [None, 1],
-            "not-a-list",
-            {"address": "a"},
-        ],
-    )
-    def test_malformed_descriptor_rejected(self, payload):
-        with pytest.raises(CodecError):
-            decode_descriptor(payload)
+def _json_frame(body) -> bytes:
+    """A JSON view document, the shape of the retired v1 wire format."""
+    return json.dumps(body, separators=(",", ":")).encode()
 
 
 class TestMessageCodec:
@@ -58,25 +29,52 @@ class TestMessageCodec:
         view = [NodeDescriptor("a", 0), NodeDescriptor(7, 3)]
         assert decode_message(encode_message(view)) == view
 
+    def test_integer_addresses(self):
+        view = [NodeDescriptor(42, 0), NodeDescriptor(-5, 9)]
+        assert decode_message(encode_message(view)) == view
+
     def test_empty_message(self):
         assert decode_message(encode_message([])) == []
 
-    def test_version_embedded(self):
-        body = json.loads(encode_message([]).decode())
-        assert body["v"] == WIRE_FORMAT_VERSION
+    def test_default_version_is_v2(self):
+        data = encode_message([])
+        assert data[0] == V2_MAGIC
+        assert data[1] == WIRE_FORMAT_V2
+        assert decode_frame(data)[0] == WIRE_FORMAT_V2
 
-    def test_wrong_version_rejected(self):
-        data = json.dumps({"v": 999, "view": []}).encode()
+    def test_unserializable_address_rejected(self):
         with pytest.raises(CodecError):
-            decode_message(data)
+            encode_message([NodeDescriptor(("tuple", "addr"), 1)])
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"v": 1, "view": []},
+            {"v": 1, "view": [["a", 1]]},
+            {"v": 999, "view": []},
+            {"v": 1},
+            {"v": 1, "view": [[]]},
+            {"v": 1, "view": [["a"]]},
+            {"v": 1, "view": [["a", 1, 2]]},
+            {"v": 1, "view": [["a", "not-an-int"]]},
+            {"v": 1, "view": [["a", -1]]},
+            {"v": 1, "view": [[None, 1]]},
+            {"v": 1, "view": ["not-a-list"]},
+            {"v": 1, "view": [{"address": "a"}]},
+            [1, 2, 3],
+        ],
+    )
+    def test_json_documents_rejected(self, body):
+        # Only v2 frames exist: a JSON document -- well-formed v1 or not --
+        # fails on its first byte.
+        with pytest.raises(CodecError, match="magic"):
+            decode_message(_json_frame(body))
 
     def test_garbage_rejected(self):
         with pytest.raises(CodecError):
             decode_message(b"\xff\xfe not json")
         with pytest.raises(CodecError):
-            decode_message(b"[1,2,3]")
-        with pytest.raises(CodecError):
-            decode_message(json.dumps({"v": 1}).encode())
+            decode_message(b"")
 
     def test_oversized_message_rejected(self):
         data = b" " * (2 << 20)
@@ -101,23 +99,25 @@ class TestBinaryCodec:
         assert data[0] == V2_MAGIC
         assert data[1] == WIRE_FORMAT_V2
 
-    def test_binary_is_smaller_than_json(self):
-        view = [NodeDescriptor(f"192.168.0.{i}:90{i:02d}", i) for i in range(30)]
-        v1 = encode_message(view, version=WIRE_FORMAT_VERSION)
-        v2 = encode_message(view, version=WIRE_FORMAT_V2)
-        assert len(v2) < len(v1)
-
     def test_decode_frame_reports_version(self):
         view = [NodeDescriptor("a", 1)]
-        assert decode_frame(encode_message(view))[0] == WIRE_FORMAT_VERSION
-        assert (
-            decode_frame(encode_message(view, version=WIRE_FORMAT_V2))[0]
-            == WIRE_FORMAT_V2
-        )
+        assert decode_frame(encode_message(view)) == (WIRE_FORMAT_V2, view)
 
-    def test_unknown_encode_version_rejected(self):
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_unknown_encode_version_rejected(self, version):
         with pytest.raises(CodecError):
-            encode_message([], version=3)
+            encode_message([], version=version)
+
+    @pytest.mark.parametrize("first", [0x00, 0x7B, 0x9C, 0xFF])
+    def test_unknown_first_byte_rejected(self, first):
+        data = bytearray(encode_message([NodeDescriptor(1, 1)]))
+        data[0] = first
+        with pytest.raises(CodecError, match="magic"):
+            decode_frame(bytes(data))
+
+    def test_signed_frame_needs_a_key(self):
+        with pytest.raises(CodecError, match="verification key"):
+            decode_frame(bytes((SIGNED_MAGIC,)) + b"\x00" * 20)
 
     def test_truncated_frames_rejected(self):
         view = [NodeDescriptor("node-1", 5), NodeDescriptor(42, 0)]
@@ -159,7 +159,7 @@ class TestBinaryCodec:
 
 
 class TestEncodeSizeCap:
-    def test_oversized_v1_rejected_on_encode(self):
+    def test_oversized_address_rejected_on_encode(self):
         view = [NodeDescriptor("x" * (MAX_MESSAGE_BYTES + 1), 0)]
         with pytest.raises(CodecError):
             encode_message(view)
@@ -191,18 +191,17 @@ def test_message_round_trip_property(view):
     assert decode_message(encode_message(view)) == view
 
 
-@given(views_st, st.sampled_from(SUPPORTED_WIRE_VERSIONS))
-def test_round_trip_property_all_versions(view, version):
-    data = encode_message(view, version=version)
-    decoded_version, decoded = decode_frame(data)
-    assert decoded_version == version
+@given(views_st)
+def test_round_trip_property_reports_v2(view):
+    decoded_version, decoded = decode_frame(encode_message(view))
+    assert decoded_version == WIRE_FORMAT_V2
     assert decoded == view
 
 
 @given(st.binary(max_size=300))
 def test_arbitrary_bytes_never_raise_non_codec_errors(data):
-    # Malformed input of any shape -- bad UTF-8, bad JSON, bad struct
-    # fields -- must surface as CodecError, nothing else.
+    # Malformed input of any shape -- unknown first byte, bad struct
+    # fields, bad UTF-8 addresses -- must surface as CodecError only.
     try:
         decode_frame(data)
     except CodecError:

@@ -205,3 +205,17 @@ class TestNetworkConfigAuthKey:
 
         with pytest.raises(ConfigurationError, match="auth_key"):
             NetworkConfig(auth_key=key)
+
+
+class TestNetworkConfigWireVersion:
+    def test_default_is_v2(self):
+        from repro.core.config import NetworkConfig
+
+        assert NetworkConfig().wire_version == 2
+
+    @pytest.mark.parametrize("version", [0, 1, 3])
+    def test_only_v2_accepted(self, version):
+        from repro.core.config import NetworkConfig
+
+        with pytest.raises(ConfigurationError, match="wire_version"):
+            NetworkConfig(wire_version=version)

@@ -8,8 +8,8 @@ from repro.core.codec import (
     CONTROL_MAGIC,
     SIGNATURE_BYTES,
     SIGNED_MAGIC,
-    SUPPORTED_WIRE_VERSIONS,
     V2_MAGIC,
+    WIRE_FORMAT_V2,
     AuthenticationError,
     CodecError,
     decode_frame,
@@ -25,12 +25,20 @@ VIEW = [NodeDescriptor("a", 0), NodeDescriptor(7, 3)]
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("version", sorted(SUPPORTED_WIRE_VERSIONS))
-    def test_signed_round_trip_all_versions(self, version):
-        frame = encode_signed_message(VIEW, KEY, version=version)
+    def test_signed_round_trip_reports_v2(self):
+        frame = encode_signed_message(VIEW, KEY)
         got_version, payload = decode_signed_frame(frame, KEY)
-        assert got_version == version
+        assert got_version == WIRE_FORMAT_V2
         assert payload == VIEW
+
+    def test_inner_frame_is_v2(self):
+        inner = encode_signed_message(VIEW, KEY)[1 + SIGNATURE_BYTES :]
+        assert inner == encode_message(VIEW)
+        assert inner[0] == V2_MAGIC
+
+    def test_unknown_version_rejected_at_encode(self):
+        with pytest.raises(CodecError):
+            encode_signed_message(VIEW, KEY, version=1)
 
     def test_signed_frame_shape(self):
         frame = encode_signed_message(VIEW, KEY)

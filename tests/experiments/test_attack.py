@@ -1,4 +1,5 @@
-"""The attack artefact: sweep structure and the f=0 honesty anchor."""
+"""The attack artefact: sweep structure, the f=0 honesty anchor and the
+resistance ordering of the six designs."""
 
 import pytest
 
@@ -19,10 +20,37 @@ TINY = Scale(
     path_sources=10,
 )
 
+SMALL = Scale(
+    name="small",
+    n_nodes=200,
+    view_size=10,
+    cycles=20,
+    growth_cycles=3,
+    runs=1,
+    traced_nodes=5,
+    removal_repeats=1,
+    metrics_every=5,
+    clustering_sample=30,
+    path_sources=10,
+)
+"""The smallest scale at which the resistance ordering holds: at TINY,
+PeerSwap's f=0.1 share dips below 0.5 and the generic's f=0.01 share
+falls below Brahms'."""
+
 
 @pytest.fixture(scope="module")
 def result():
     return attack.run(scale=TINY, seed=0)
+
+
+@pytest.fixture(scope="module")
+def small_rows():
+    rows = attack.run(scale=SMALL, seed=0).rows
+    return {(row.protocol, row.fraction): row for row in rows}
+
+
+def _protocol(rows, predicate):
+    return next(p for p, _ in rows if predicate(p))
 
 
 class TestSweepStructure:
@@ -115,3 +143,43 @@ class TestHonestAnchor:
         first = attack.run(scale=TINY, seed=2)
         second = attack.run(scale=TINY, seed=2)
         assert first.rows == second.rows
+
+
+class TestResistanceOrdering:
+    """Hub poisoning captures every undefended design at f=0.1; Brahms
+    resists, and at f=0.01 ranks below the generic protocol and no worse
+    than Cyclon (Guerraoui et al.'s comparison of PeerSwap, Brahms and
+    Cyclon)."""
+
+    GENERIC = "(rand,head,pushpull)"
+
+    def test_honest_rows_are_attacker_free_and_near_uniform(self, small_rows):
+        for (protocol, fraction), row in small_rows.items():
+            if fraction == 0.0:
+                assert row.attacker_share == 0.0, protocol
+                assert row.total_variation < 0.5, protocol
+
+    def test_undefended_designs_are_captured_at_f_0_1(self, small_rows):
+        brahms = _protocol(small_rows, lambda p: p.startswith("brahms("))
+        undefended = {p for p, _ in small_rows} - {brahms}
+        assert len(undefended) == 5
+        for protocol in undefended:
+            honest = small_rows[(protocol, 0.0)]
+            attacked = small_rows[(protocol, 0.1)]
+            assert attacked.attacker_share > 0.5, protocol
+            assert attacked.total_variation > honest.total_variation, protocol
+            assert attacked.chi_square > honest.chi_square, protocol
+
+    def test_brahms_keeps_the_share_below_half_at_f_0_1(self, small_rows):
+        brahms = _protocol(small_rows, lambda p: p.startswith("brahms("))
+        assert small_rows[(brahms, 0.1)].attacker_share < 0.5
+
+    def test_defences_beat_the_generic_at_f_0_01(self, small_rows):
+        brahms = _protocol(small_rows, lambda p: p.startswith("brahms("))
+        cyclon = _protocol(small_rows, lambda p: p.startswith("cyclon("))
+        validated = _protocol(small_rows, lambda p: p.endswith(";V"))
+        generic = small_rows[(self.GENERIC, 0.01)].attacker_share
+        defended = small_rows[(brahms, 0.01)].attacker_share
+        assert defended < generic
+        assert defended <= small_rows[(cyclon, 0.01)].attacker_share
+        assert small_rows[(validated, 0.01)].attacker_share < generic

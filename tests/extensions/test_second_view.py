@@ -129,3 +129,13 @@ class TestHealingAdvantage:
         overlay.run(30)
         head_engine, rand_engine = overlay.engines
         assert head_engine.dead_link_count() < rand_engine.dead_link_count()
+
+    def test_union_stays_connected_while_head_heals(self):
+        overlay = bootstrap(make_overlay(seed=5, c=12), 400)
+        overlay.run(50)
+        overlay.crash_random_nodes(200)
+        overlay.run(30)
+        head_engine, rand_engine = overlay.engines
+        assert is_connected(GraphSnapshot.from_views(overlay.views()))
+        head_dead = head_engine.dead_link_count()
+        assert head_dead < 0.2 * rand_engine.dead_link_count()

@@ -24,11 +24,15 @@ from repro.graph.metrics import (
 from repro.graph.snapshot import GraphSnapshot
 from repro.simulation.churn import massive_failure
 from repro.simulation.engine import CycleEngine
+from repro.simulation.fast_event import FastEventEngine
+from repro.simulation.network import BernoulliLoss, ConstantLatency
 from repro.simulation.scenarios import (
     lattice_bootstrap,
     random_bootstrap,
     start_growing,
 )
+from repro.simulation.trace import DegreeTracer, Observer
+from repro.stats.autocorrelation import autocorrelation, confidence_band
 
 N, C = 600, 15
 CONVERGE = 50
@@ -212,8 +216,6 @@ class TestDegreeDistribution:
 
     def test_no_long_run_hubs_under_head_selection(self):
         # Table 2: time-averaged degrees concentrate (small sqrt(sigma)).
-        from repro.simulation.trace import DegreeTracer
-
         engine = CycleEngine(newscast(view_size=C), seed=12)
         addresses = random_bootstrap(engine, N)
         tracer = DegreeTracer(addresses[:20])
@@ -221,6 +223,58 @@ class TestDegreeDistribution:
         engine.run(CONVERGE)
         time_averages = [np.mean(row) for row in tracer.matrix()]
         assert np.std(time_averages, ddof=1) < 0.1 * np.mean(time_averages)
+
+
+class _ChurnSparingTraced(Observer):
+    """Each cycle, ``rate`` untraced nodes crash and as many fresh nodes
+    join through live contacts, so the traced degree series stay aligned
+    while the membership turns over."""
+
+    def __init__(self, traced, rate):
+        self.traced = set(traced)
+        self.rate = rate
+
+    def before_cycle(self, engine):
+        if engine.cycle == 0:
+            return
+        candidates = [a for a in engine.addresses() if a not in self.traced]
+        for victim in engine.rng.sample(candidates, self.rate):
+            engine.remove_node(victim)
+        engine.add_nodes(self.rate, contacts=engine.addresses()[:3])
+
+
+class TestAsynchronousAutocorrelation:
+    """Paper Section 6 / Figure 5 on the asynchronous engine: the
+    conclusion survives latency, loss and continuous churn."""
+
+    def test_head_decorrelates_degrees_rand_does_not(self):
+        n, cycles, traced = 1000, 60, 20
+        max_lag = cycles // 3
+        band = confidence_band(cycles, level=0.99)
+        curves = {}
+        for label in ("(rand,head,pushpull)", "(rand,rand,pushpull)"):
+            engine = FastEventEngine(
+                ProtocolConfig.from_label(label, 30),
+                seed=5,
+                latency=ConstantLatency(0.1),
+                loss=BernoulliLoss(0.01),
+            )
+            addresses = random_bootstrap(engine, n)
+            tracer = DegreeTracer(addresses[:traced])
+            engine.add_observer(tracer)
+            engine.add_observer(
+                _ChurnSparingTraced(addresses[:traced], n // 100)
+            )
+            engine.run(cycles)
+            per_node = [autocorrelation(s, max_lag) for s in tracer.matrix()]
+            curves[label] = np.mean(per_node, axis=0)
+        outside = {
+            label: float((np.abs(curve[1:]) > band).mean())
+            for label, curve in curves.items()
+        }
+        head, rand = "(rand,head,pushpull)", "(rand,rand,pushpull)"
+        assert outside[head] < outside[rand]
+        assert curves[rand][1] > 2 * band
 
 
 class TestGrowingScenarioPartitioning:

@@ -6,7 +6,7 @@ import random
 import threading
 import warnings
 
-from repro.core.codec import MAX_MESSAGE_BYTES, V2_MAGIC, WIRE_FORMAT_V2, WIRE_FORMAT_VERSION
+from repro.core.codec import MAX_MESSAGE_BYTES, V2_MAGIC, encode_message
 from repro.core.config import NetworkConfig, ProtocolConfig, newscast
 from repro.core.descriptor import NodeDescriptor
 from repro.core.protocol import GossipNode
@@ -148,7 +148,7 @@ class TestFailureHandling:
             a._on_datagram(b"", "b")  # too short for the envelope
             a._on_datagram(b"\x01\x00\x00\x00\x07garbage", "b")
             a._on_datagram(
-                _ENVELOPE.pack(77, 0) + b'{"v":1,"view":[]}', "b"
+                _ENVELOPE.pack(77, 0) + encode_message([]), "b"
             )  # unknown kind
             await a.stop()
             return a.stats
@@ -182,42 +182,40 @@ class TestFailureHandling:
         assert stats.requests_received == 1
 
 
-class TestVersionNegotiation:
-    def _request_reply(self, wire_version):
-        """Send daemon b a hand-crafted request; return its raw reply."""
+class TestWireFormat:
+    @staticmethod
+    def _deliver(payload):
+        """Hand daemon b one request; return (sent datagrams, b)."""
 
         async def scenario():
             _, a, b = make_pair()
-            b.service.init([])
+            b.service.init(["c"])
             sent = []
             b.transport.send = lambda dest, data: sent.append((dest, data))
             await b.start(run_loop=False)
-            payload = [NodeDescriptor("a", 0)]
-            from repro.core.codec import encode_message
-
-            request = _ENVELOPE.pack(_KIND_REQUEST, 123) + encode_message(
-                payload, version=wire_version
-            )
-            b._on_datagram(request, "a")
+            b._on_datagram(_ENVELOPE.pack(_KIND_REQUEST, 123) + payload, "a")
             await b.stop()
-            return sent
+            return sent, b
 
-        sent = asyncio.run(scenario())
+        return asyncio.run(scenario())
+
+    def test_request_gets_v2_reply(self):
+        sent, b = self._deliver(encode_message([NodeDescriptor("a", 0)]))
         assert len(sent) == 1
         destination, data = sent[0]
         assert destination == "a"
         kind, exchange_id = _ENVELOPE.unpack_from(data, 0)
         assert kind == _KIND_REPLY
         assert exchange_id == 123
-        return data[_ENVELOPE.size :]
+        assert data[_ENVELOPE.size] == V2_MAGIC
+        assert b.stats.requests_received == 1
 
-    def test_v2_request_gets_v2_reply(self):
-        reply = self._request_reply(WIRE_FORMAT_V2)
-        assert reply[0] == V2_MAGIC
-
-    def test_v1_request_gets_v1_reply(self):
-        reply = self._request_reply(WIRE_FORMAT_VERSION)
-        assert reply[0:1] == b"{"
+    def test_v1_json_request_is_counted_and_unanswered(self):
+        sent, b = self._deliver(b'{"v":1,"view":[["a",0]]}')
+        assert sent == []
+        assert b.stats.invalid_messages == 1
+        assert b.stats.requests_received == 0
+        assert [(d.address, d.hop_count) for d in b.node.view] == [("c", 0)]
 
 
 class TestLifecycle:

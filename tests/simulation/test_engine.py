@@ -4,6 +4,9 @@ import pytest
 
 from repro.core.config import ProtocolConfig, newscast
 from repro.core.errors import ConfigurationError, NodeNotFoundError
+from repro.graph.metrics import average_degree
+from repro.graph.snapshot import GraphSnapshot
+from repro.simulation.churn import massive_failure
 from repro.simulation.engine import CycleEngine
 from repro.simulation.scenarios import random_bootstrap
 from repro.simulation.trace import Observer
@@ -261,3 +264,61 @@ class TestIntrospection:
         random_bootstrap(engine, 10)
         engine.run(3)
         assert engine.cycle == 3
+
+
+class TestAblations:
+    """Each test flips one modelling decision and measures its effect on
+    a converged (N=400, c=12, 50 cycles) overlay."""
+
+    @staticmethod
+    def converged(config, seed=0, shuffle=True, **kwargs):
+        engine = CycleEngine(config, seed=seed, **kwargs)
+        engine.shuffle_each_cycle = shuffle
+        random_bootstrap(engine, 400)
+        engine.run(50)
+        return engine
+
+    @staticmethod
+    def self_links(engine):
+        return sum(
+            1
+            for address, view in engine.views().items()
+            for d in view
+            if d.address == address
+        )
+
+    def test_keeping_self_descriptors_wastes_view_slots(self):
+        base = newscast(view_size=12)
+        dropped = self.converged(base)
+        kept = self.converged(base.replace(keep_self_descriptors=True))
+        assert self.self_links(dropped) == 0
+        assert self.self_links(kept) > 0
+        assert average_degree(GraphSnapshot.from_engine(kept)) <= (
+            average_degree(GraphSnapshot.from_engine(dropped))
+        )
+
+    def test_activation_order_does_not_change_the_regime(self):
+        config = newscast(view_size=12)
+        shuffled = self.converged(config, shuffle=True)
+        fixed = self.converged(config, shuffle=False)
+        assert average_degree(GraphSnapshot.from_engine(fixed)) == (
+            pytest.approx(
+                average_degree(GraphSnapshot.from_engine(shuffled)), rel=0.1
+            )
+        )
+
+    def test_live_peer_selection_is_what_lets_tail_selection_heal(self):
+        config = ProtocolConfig.from_label("(tail,head,pushpull)", 12)
+
+        def residual(omniscient):
+            engine = self.converged(
+                config, seed=3, omniscient_peer_selection=omniscient
+            )
+            massive_failure(engine, 0.5)
+            initial = engine.dead_link_count()
+            engine.run(30)
+            return engine.dead_link_count() / initial
+
+        with_oracle = residual(True)
+        assert with_oracle < 0.1
+        assert residual(False) > 3 * with_oracle

@@ -6,7 +6,11 @@ from repro.core.config import ProtocolConfig, newscast
 from repro.graph.metrics import average_degree
 from repro.graph.snapshot import GraphSnapshot
 from repro.simulation.event_engine import EventEngine
-from repro.simulation.network import BernoulliLoss, ConstantLatency
+from repro.simulation.network import (
+    BernoulliLoss,
+    ConstantLatency,
+    UniformLatency,
+)
 from repro.simulation.scenarios import random_bootstrap
 from repro.simulation.trace import Observer
 
@@ -155,7 +159,7 @@ class TestExecution:
 class TestConvergenceParity:
     def test_event_engine_reaches_cycle_engine_degree_range(self):
         # The asynchronous engine must converge to the same average degree
-        # regime as the synchronous one (bench_engines quantifies this).
+        # regime as the synchronous one.
         from repro.simulation.engine import CycleEngine
 
         config = newscast(view_size=8)
@@ -168,3 +172,27 @@ class TestConvergenceParity:
         cycle_deg = average_degree(GraphSnapshot.from_engine(cycle_engine))
         event_deg = average_degree(GraphSnapshot.from_engine(event_engine))
         assert cycle_deg == pytest.approx(event_deg, rel=0.25)
+
+    def test_latency_keeps_the_regime_and_loss_degrades_gracefully(self):
+        # Random latency up to a fifth of a period reproduces the cycle
+        # model's degree within 15%; 20% message loss still leaves the
+        # overlay above 70% of it.
+        from repro.simulation.engine import CycleEngine
+
+        config = newscast(view_size=12)
+
+        def degree(engine):
+            random_bootstrap(engine, 300)
+            engine.run(40)
+            return average_degree(GraphSnapshot.from_engine(engine))
+
+        latency = UniformLatency(0.01, 0.2)
+        cycle = degree(CycleEngine(config, seed=1))
+        event = degree(EventEngine(config, seed=1, latency=latency))
+        lossy = degree(
+            EventEngine(
+                config, seed=1, latency=latency, loss=BernoulliLoss(0.2)
+            )
+        )
+        assert event == pytest.approx(cycle, rel=0.15)
+        assert lossy > 0.7 * cycle

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.baselines.oracle import OracleGroup
-from repro.core.config import newscast
+from repro.core.config import ProtocolConfig, newscast
 from repro.simulation.engine import CycleEngine
 from repro.simulation.scenarios import random_bootstrap
 from repro.stats.sampling_quality import (
@@ -223,3 +223,37 @@ class TestEndToEnd:
             > 2 * oracle.repeat_probability_window1
         )
         assert gossip.coverage == 1.0
+
+    def test_protocols_cover_the_population_but_repeat_themselves(self):
+        # Every studied service reaches (almost) every node, yet repeats
+        # far more often than independent uniform draws; head view
+        # selection balances the hit distribution better than rand.
+        labels = (
+            "(rand,head,pushpull)",
+            "(rand,rand,pushpull)",
+            "(rand,rand,push)",
+            "(tail,head,pushpull)",
+        )
+        reports = {}
+        for label in labels:
+            engine = CycleEngine(ProtocolConfig.from_label(label, 12), seed=6)
+            random_bootstrap(engine, 300)
+            engine.run(40)
+            services = {a: engine.service(a) for a in engine.addresses()}
+            reports[label] = evaluate_sampling_quality(
+                services, calls_per_service=20
+            )
+        group = OracleGroup(seed=7)
+        oracle = evaluate_sampling_quality(
+            {i: group.service(i) for i in range(300)}, calls_per_service=20
+        )
+        for label, report in reports.items():
+            assert report.coverage >= 0.9, label
+            assert (
+                report.repeat_probability_window1
+                > 2 * oracle.repeat_probability_window1
+            ), label
+        head = reports["(rand,head,pushpull)"]
+        rand = reports["(rand,rand,pushpull)"]
+        assert head.normalized_chi_square < rand.normalized_chi_square
+        assert head.coverage >= rand.coverage

@@ -186,9 +186,9 @@ class TestWorkerResolution:
         self, monkeypatch
     ):
         # Regression: a scale-defaulted pool on a one-core box spawned
-        # worker processes that only added IPC overhead (BENCH_run_plan
-        # measured a 0.5x slowdown).  The scale-default branch now
-        # resolves serial there.
+        # worker processes that only added IPC overhead (a 0.5x slowdown
+        # was measured).  The scale-default branch now resolves serial
+        # there.
         from dataclasses import replace
 
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
