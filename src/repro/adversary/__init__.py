@@ -39,7 +39,6 @@ honest paths do (pinned by ``tests/adversary/``).
 
 from repro.adversary.behaviors import AdversarialNode, AdversaryState
 from repro.adversary.harness import (
-    ADVERSARY_ENGINE_NAMES,
     AdversaryHandle,
     AttackWindow,
     IndexedAdversary,
@@ -50,7 +49,6 @@ from repro.adversary.harness import (
 )
 
 __all__ = [
-    "ADVERSARY_ENGINE_NAMES",
     "AdversarialNode",
     "AdversaryHandle",
     "AdversaryState",

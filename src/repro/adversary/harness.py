@@ -8,22 +8,17 @@
   drawn from a *private* ``Random(placement_seed)`` so the placement is
   identical on every engine and run seed and never perturbs the shared
   protocol RNG;
-- on :class:`~repro.simulation.engine.CycleEngine`,
-  :class:`~repro.simulation.event_engine.EventEngine` and
-  :class:`~repro.net.engine.LiveEngine`, attacker nodes are wrapped in
-  :class:`~repro.adversary.behaviors.AdversarialNode` (on the live
-  engine the wrapper is installed into the daemon too, so both the
-  active task and the datagram receive path go through it; the event
-  engine resolves every timer/request/reply through its node table, so
-  wrapping the table entry covers all three dispatch paths);
-- on :class:`~repro.simulation.fast.FastCycleEngine` and
-  :class:`~repro.simulation.fast_event.FastEventEngine` -- which have no
-  per-node objects to wrap -- one :class:`IndexedAdversary` is installed
-  as the engine's ``adversary``: three hooks (retarget, rewrite, drop)
-  on the flat-array kernel's exchange steps.  The engines run those
-  Python steps with the hooks while the attack window is open and their
-  honest backends, C core included, whenever it is closed; there is no
-  adversarial copy of either engine's loop.
+- on the object engines (``cycle``, ``event``, ``live``), attacker nodes
+  are wrapped in :class:`~repro.adversary.behaviors.AdversarialNode` in
+  the node table every dispatch resolves through (the live engine's
+  daemon gets the wrapper too, for its datagram receive path);
+- on the flat-array engines, which have no per-node objects to wrap,
+  one :class:`IndexedAdversary` is installed as the engine's
+  ``adversary``: three hooks (retarget, rewrite, drop) on the kernel's
+  exchange steps.  The engines run those Python steps with the hooks
+  while the attack window is open and their honest backends, C core
+  included, whenever it is closed; there is no adversarial copy of
+  either engine's loop.
 
 :class:`NetworkInterceptor` (via :func:`intercept_network`) is the
 wire-level alternative for the live layer: it hooks
@@ -50,15 +45,10 @@ from repro.net.daemon import _ENVELOPE, _KIND_REPLY
 from repro.net.engine import LiveEngine
 from repro.net.transport import LoopbackNetwork
 from repro.simulation.arrayviews import FlatArrayEngine
-from repro.simulation.engine import CycleEngine
-from repro.simulation.event_engine import EventEngine
-from repro.simulation.fast import FastCycleEngine
-from repro.simulation.fast_event import FastEventEngine
 from repro.simulation.trace import Observer
 from repro.workloads.spec import AdversarySpec
 
 __all__ = [
-    "ADVERSARY_ENGINE_NAMES",
     "AdversaryHandle",
     "AttackWindow",
     "IndexedAdversary",
@@ -67,14 +57,6 @@ __all__ = [
     "intercept_network",
     "place_attackers",
 ]
-
-ADVERSARY_ENGINE_NAMES = frozenset(
-    {"cycle", "fast", "live", "event", "fast-event"}
-)
-"""Registry engines adversarial scenarios can run on: the cycle-model
-family plus the event-driven family (the sharded engine has no attack
-installation)."""
-
 
 def place_attackers(
     spec: AdversarySpec, addresses: List[Address]
@@ -159,7 +141,8 @@ def install_adversary(runtime) -> AdversaryHandle:
     """Place the attackers of ``runtime.spec.adversary`` and arm them.
 
     Called by :func:`~repro.workloads.runtime.compile_scenario` right
-    after the bootstrap.  A placement that resolves to zero attackers
+    after the bootstrap; it has already checked that the engine supports
+    the ``adversary`` feature.  A placement that resolves to zero attackers
     (``fraction=0``) installs nothing at all, so the run stays
     byte-identical to the same spec without an adversary block.
     """
@@ -187,30 +170,18 @@ def install_adversary(runtime) -> AdversaryHandle:
     state.active = spec.start_cycle <= 0 and (
         spec.stop_cycle is None or 0 < spec.stop_cycle
     )
-    if isinstance(engine, (FastCycleEngine, FastEventEngine)):
+    if isinstance(engine, FlatArrayEngine):
         engine.adversary = IndexedAdversary(engine, state)
-    elif isinstance(engine, LiveEngine):
-        for address in attackers:
-            wrapper = AdversarialNode(engine._nodes[address], state)
-            engine._nodes[address] = wrapper
-            # Both paths must see the wrapper: the engine's gossip round
-            # reads daemon.node (active thread) and so does the
-            # datagram receive callback (passive thread).
+        return handle
+    # The object engines resolve every dispatch (cycle iteration;
+    # timer/request/reply delivery) through the node table, so swapping
+    # the table entry covers all paths -- except the live engine's
+    # gossip round and datagram receive callback, which read daemon.node.
+    for address in attackers:
+        wrapper = AdversarialNode(engine._nodes[address], state)
+        engine._nodes[address] = wrapper
+        if isinstance(engine, LiveEngine):
             engine.daemon(address).node = wrapper
-    elif isinstance(engine, (CycleEngine, EventEngine)):
-        # Both object engines resolve every dispatch (cycle iteration;
-        # timer/request/reply delivery) through the node table, so
-        # swapping the table entry covers all paths.
-        for address in attackers:
-            engine._nodes[address] = AdversarialNode(
-                engine._nodes[address], state
-            )
-    else:
-        raise ConfigurationError(
-            f"adversarial scenarios run on the "
-            f"{sorted(ADVERSARY_ENGINE_NAMES)} engines; "
-            f"got {type(engine).__name__}"
-        )
     return handle
 
 

@@ -160,7 +160,7 @@ class GossipNode:
         The authors' later formalization (Jelasity et al., ACM TOCS 2007,
         "Gossip-based Peer Sampling") makes this step explicit as
         ``view.increaseAge()`` in the active thread; we follow that
-        semantics.  See DESIGN.md, "Design notes".
+        semantics.
         """
         self.view.increase_hop_counts()
 

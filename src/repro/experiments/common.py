@@ -4,7 +4,7 @@ The paper's full parameters (N = 10^4, c = 30, 300 cycles, 100 repetitions)
 are expensive in pure Python, so every experiment accepts a :class:`Scale`.
 ``full`` is the paper; ``default`` and ``quick`` shrink N, the cycle count
 and the repetition count while keeping every qualitative conclusion intact
-(see DESIGN.md Section 5 for the substitution argument).
+(the comment on :data:`SCALES` gives the proportion they preserve).
 """
 
 from __future__ import annotations
@@ -13,13 +13,13 @@ import dataclasses
 import math
 import os
 import random
-from typing import Dict, Optional, Tuple, Type, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Type, Union
 
 from repro.core.config import ProtocolConfig
 from repro.core.errors import ConfigurationError
 from repro.core.policies import PeerSelection, Propagation, ViewSelection
 from repro.net.engine import LiveEngine
-from repro.simulation.base import BaseEngine
+from repro.simulation.base import BaseEngine, require
 from repro.simulation.engine import CycleEngine
 from repro.simulation.event_engine import EventEngine
 from repro.simulation.fast import FastCycleEngine
@@ -77,13 +77,11 @@ execution models, so their overlays are not byte-equal across families.
 BSP rounds over the same flat-array kernel, optionally partitioned across
 ``--shards`` worker processes through shared memory; its results are
 identical for every shard count and backend, which is what makes one run
-scalable toward N = 10^6 (see :mod:`repro.simulation.sharded`)."""
+scalable toward N = 10^6 (see :mod:`repro.simulation.sharded`).
 
-EVENT_ENGINE_NAMES = frozenset({"event", "fast-event"})
-"""Registry names whose engines model per-message latency and loss."""
-
-SHARDED_ENGINE_NAMES = frozenset({"fast-sharded"})
-"""Registry names whose engines accept the ``shards`` knob."""
+Which engine accepts which feature (latency, loss, shards, adversary,
+``;v`` validation, extension protocols) is each class's ``features``;
+:func:`~repro.simulation.base.require` is the one check."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -384,6 +382,38 @@ def resolve_message_models(
     )
 
 
+def engine_knobs(
+    engine: Type[BaseEngine],
+    latency: Optional[Union[float, LatencyModel]] = None,
+    loss: Optional[Union[float, LossModel]] = None,
+    shards: Optional[int] = None,
+    flag: Callable[[str], str] = str,
+) -> Dict[str, Any]:
+    """Resolve the ``latency`` / ``loss`` / ``shards`` knobs for ``engine``.
+
+    Each knob falls back to its environment variable
+    (``$REPRO_LATENCY`` / ``$REPRO_LOSS`` / ``$REPRO_SHARDS``) and is
+    validated (:func:`resolve_message_models`, :func:`resolve_shards`).
+    A knob that ends up set is a feature of the same name, which
+    ``engine`` must support (:func:`~repro.simulation.base.require`);
+    the rejection names what asked -- ``flag(knob)`` for an explicit
+    value, the variable for an environment fallback.  Returns the
+    constructor keywords of the set knobs.
+    """
+    latency_model, loss_model = resolve_message_models(latency, loss)
+    knobs: Dict[str, Any] = {}
+    for knob, explicit, value, env_var in (
+        ("latency", latency, latency_model, LATENCY_ENV_VAR),
+        ("loss", loss, loss_model, LOSS_ENV_VAR),
+        ("shards", shards, resolve_shards(shards), SHARDS_ENV_VAR),
+    ):
+        if value is not None:
+            asked_by = flag(knob) if explicit is not None else f"${env_var}"
+            require(engine, knob, asked_by)
+            knobs[knob] = value
+    return knobs
+
+
 def make_engine(
     config: ProtocolConfig,
     seed: Optional[int] = None,
@@ -418,38 +448,8 @@ def make_engine(
     name = resolve_engine_name(
         engine, default=scale.default_engine if scale else None
     )
-    resolved_shards = resolve_shards(shards)
-    if resolved_shards is not None:
-        if name not in SHARDED_ENGINE_NAMES:
-            raise ConfigurationError(
-                f"shards only applies to the sharded engine "
-                f"({sorted(SHARDED_ENGINE_NAMES)}); engine {name!r} runs "
-                "single-process -- pick --engine fast-sharded or drop the "
-                "option"
-            )
-        kwargs["shards"] = resolved_shards
-    latency_model, loss_model = resolve_message_models(latency, loss)
-    if latency_model is not None or loss_model is not None:
-        if name not in EVENT_ENGINE_NAMES:
-            knobs = ", ".join(
-                k
-                for k, v in (
-                    ("latency", latency_model),
-                    ("loss", loss_model),
-                )
-                if v is not None
-            )
-            raise ConfigurationError(
-                f"{knobs} only applies to event-driven engines "
-                f"({sorted(EVENT_ENGINE_NAMES)}); engine {name!r} runs the "
-                "synchronous cycle model without message timing -- pick "
-                "--engine event / fast-event or drop the option"
-            )
-        if latency_model is not None:
-            kwargs["latency"] = latency_model
-        if loss_model is not None:
-            kwargs["loss"] = loss_model
     cls = ENGINES[name]
+    kwargs.update(engine_knobs(cls, latency, loss, shards))
     return cls(config, seed=seed, rng=rng, **kwargs)  # type: ignore[call-arg]
 
 

@@ -44,30 +44,29 @@ records, ordering and overlay digests -- pinned by
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import os
 import sys
 import time
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Mapping, Optional, Sequence
 
 from repro.core.errors import ConfigurationError, PlanExecutionError
 from repro.experiments import EXPERIMENT_IDS
 from repro.experiments.common import (
     ENGINE_ENV_VAR,
     ENGINES,
-    EVENT_ENGINE_NAMES,
     LATENCY_ENV_VAR,
     LOSS_ENV_VAR,
     SCALES,
-    SHARDED_ENGINE_NAMES,
     SHARDS_ENV_VAR,
     WORKERS_ENV_VAR,
     current_scale,
+    engine_knobs,
     resolve_engine_name,
-    resolve_message_models,
-    resolve_shards,
     resolve_workers,
 )
+from repro.simulation.base import FEATURES
 
 _DESCRIPTIONS = {
     "table1": "partitioning of push protocols in the growing scenario",
@@ -84,6 +83,29 @@ _DESCRIPTIONS = {
     "attack": "hub-poisoning sweep: attacker fraction x protocol "
     "(generic, healer, cyclon, peerswap, brahms, generic+validation)",
 }
+
+
+@contextlib.contextmanager
+def _env_overrides(values: Mapping[str, object]) -> Iterator[None]:
+    """Set each ``$VAR`` whose value is not ``None`` for the duration.
+
+    The CLI's knobs reach the experiment helpers and plan cells (pool
+    workers included) the way every other setting does: through their
+    environment variables, restored afterwards.
+    """
+    overrides = {
+        var: str(value) for var, value in values.items() if value is not None
+    }
+    previous = {var: os.environ.get(var) for var in overrides}
+    os.environ.update(overrides)
+    try:
+        yield
+    finally:
+        for var, value in previous.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
 
 
 def run_experiment(
@@ -110,27 +132,26 @@ def run_experiment(
     module_name = experiment_id.replace("-", "_")
     module = importlib.import_module(f"repro.experiments.{module_name}")
     scale = current_scale(scale_name)
-    overrides = [
-        (ENGINE_ENV_VAR, engine),
-        (LATENCY_ENV_VAR, None if latency is None else repr(latency)),
-        (LOSS_ENV_VAR, None if loss is None else repr(loss)),
-        (WORKERS_ENV_VAR, None if workers is None else str(workers)),
-        (SHARDS_ENV_VAR, None if shards is None else str(shards)),
-    ]
-    previous = {var: os.environ.get(var) for var, _ in overrides}
-    for var, value in overrides:
-        if value is not None:
-            os.environ[var] = value
-    try:
+    with _env_overrides({
+        ENGINE_ENV_VAR: engine,
+        LATENCY_ENV_VAR: None if latency is None else repr(latency),
+        LOSS_ENV_VAR: None if loss is None else repr(loss),
+        WORKERS_ENV_VAR: workers,
+        SHARDS_ENV_VAR: shards,
+    }):
         result = module.run(scale=scale, seed=seed)
-    finally:
-        for var, value in overrides:
-            if value is not None:
-                if previous[var] is None:
-                    os.environ.pop(var, None)
-                else:
-                    os.environ[var] = previous[var]
     return module.report(result)
+
+
+def engine_table() -> List[str]:
+    """The engine registry as markdown rows: each engine's execution
+    family and supported features.  ``repro-experiments list`` prints
+    them and README.md carries them verbatim (a tier-1 test compares)."""
+    lines = ["| engine | family | features |", "|---|---|---|"]
+    for name, cls in ENGINES.items():
+        supported = ", ".join(f for f in FEATURES if f in cls.features)
+        lines.append(f"| `{name}` | {cls.family} | {supported} |")
+    return lines
 
 
 def _cmd_list() -> int:
@@ -141,7 +162,9 @@ def _cmd_list() -> int:
     for experiment_id in EXPERIMENT_IDS:
         print(f"  {experiment_id:10s} {_DESCRIPTIONS[experiment_id]}")
     print(f"\nscales: {', '.join(SCALES)} (select with --scale or $REPRO_SCALE)")
-    print(f"engines: {', '.join(ENGINES)} (select with --engine or $REPRO_ENGINE)")
+    print("\nengines (select with --engine or $REPRO_ENGINE):")
+    print("\n".join(engine_table()))
+    print()
     print(
         f"scenarios: {', '.join(SCENARIOS)} "
         "(details: repro-experiments list-scenarios)"
@@ -183,10 +206,14 @@ def _cmd_run_spec(
 ) -> int:
     import dataclasses
     import json
-    import os
 
     from repro.experiments.reporting import format_table
-    from repro.workloads import ExperimentPlan, ScenarioSpec, run_plan
+    from repro.workloads import (
+        ExperimentPlan,
+        ScenarioSpec,
+        plan_cells,
+        run_plan,
+    )
 
     try:
         with open(path, encoding="utf-8") as handle:
@@ -228,23 +255,12 @@ def _cmd_run_spec(
         from repro.workloads.plan import effective_workers
 
         resolved_workers = effective_workers([plan], workers)
-        resolved_shards = resolve_shards(shards)
-        if resolved_shards is not None:
-            bad_engines = [
-                name
-                for name in plan.engines
-                if name not in SHARDED_ENGINE_NAMES
-            ]
-            if bad_engines:
-                knob = (
-                    "--shards" if shards is not None else f"${SHARDS_ENV_VAR}"
-                )
-                raise ConfigurationError(
-                    f"{knob} only applies to the sharded engine "
-                    f"({', '.join(sorted(SHARDED_ENGINE_NAMES))}); the plan "
-                    f"resolves engine(s) {bad_engines!r} -- add --engine "
-                    "fast-sharded or drop the option"
-                )
+        # Every feature every cell uses -- protocol, scenario, the
+        # environment's knobs, and --shards -- against its engine.
+        for name in dict.fromkeys(cell.engine for cell in plan_cells(plan)):
+            engine_knobs(
+                ENGINES[name], shards=shards, flag=lambda knob: f"--{knob}"
+            )
     except (ConfigurationError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -255,25 +271,20 @@ def _cmd_run_spec(
         f"= {plan.total_runs} run(s) on {resolved_workers} worker(s)"
     )
     started = time.perf_counter()
-    # The shard count travels to the plan cells (and any pool workers)
-    # the same way every other knob does: through its environment
-    # variable, restored afterwards.
-    previous_shards = os.environ.get(SHARDS_ENV_VAR)
-    if resolved_shards is not None:
-        os.environ[SHARDS_ENV_VAR] = str(resolved_shards)
     try:
-        result = run_plan(
-            plan,
-            on_record=lambda record: print(
-                f"  [{record.scenario} | {record.protocol} | {record.engine} | "
-                f"{record.scale} | seed {record.seed}] "
-                f"{record.final_nodes} nodes, "
-                f"{record.completed_exchanges} exchanges, "
-                f"digest {record.views_digest[:12]}, "
-                f"{record.elapsed_seconds:.1f}s"
-            ),
-            workers=resolved_workers,
-        )
+        with _env_overrides({SHARDS_ENV_VAR: shards}):
+            result = run_plan(
+                plan,
+                on_record=lambda record: print(
+                    f"  [{record.scenario} | {record.protocol} | "
+                    f"{record.engine} | {record.scale} | seed {record.seed}] "
+                    f"{record.final_nodes} nodes, "
+                    f"{record.completed_exchanges} exchanges, "
+                    f"digest {record.views_digest[:12]}, "
+                    f"{record.elapsed_seconds:.1f}s"
+                ),
+                workers=resolved_workers,
+            )
     except ConfigurationError as error:
         # Anything construction missed (defensive; axis entries are
         # validated eagerly above) still exits cleanly.
@@ -282,12 +293,6 @@ def _cmd_run_spec(
     except PlanExecutionError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    finally:
-        if resolved_shards is not None:
-            if previous_shards is None:
-                os.environ.pop(SHARDS_ENV_VAR, None)
-            else:
-                os.environ[SHARDS_ENV_VAR] = previous_shards
     elapsed = time.perf_counter() - started
     headers = [
         "scenario", "protocol", "engine", "scale", "seed",
@@ -328,56 +333,24 @@ def _cmd_run(
         print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
         print(f"choose from: {', '.join(EXPERIMENT_IDS)} or 'all'", file=sys.stderr)
         return 2
-    # Validate the engine and latency/loss selection eagerly --
-    # including the $REPRO_ENGINE / $REPRO_LATENCY / $REPRO_LOSS
-    # environment fallbacks, NaN, and out-of-range values -- so a typo
-    # or a knob/engine mismatch fails in milliseconds with a clear
-    # message instead of a traceback (or a silently meaningless report)
-    # mid-way through a long run.  resolve_message_models is the same
-    # validator make_engine applies, so nothing can pass here and fail
-    # there.
+    # Validate the engine and the latency/loss/shards knobs eagerly --
+    # including the $REPRO_* environment fallbacks, NaN, and out-of-range
+    # values -- so a typo or a knob/engine mismatch fails in milliseconds
+    # with a clear message instead of a traceback (or a silently
+    # meaningless report) mid-way through a long run.  engine_knobs is
+    # what make_engine applies, so nothing can pass here and fail there.
     try:
         scale = current_scale(scale_name)
         effective_engine = resolve_engine_name(
             engine, default=scale.default_engine
         )
-        latency_model, loss_model = resolve_message_models(latency, loss)
+        engine_knobs(
+            ENGINES[effective_engine], latency, loss, shards,
+            flag=lambda knob: f"--{knob}",
+        )
         resolve_workers(workers, scales=(scale,))
-        resolved_shards = resolve_shards(shards)
     except ConfigurationError as error:
         print(f"error: {error}", file=sys.stderr)
-        return 2
-    active_knobs = [
-        flag if value is not None else env_label
-        for flag, value, env_label, model in (
-            ("--latency", latency, f"${LATENCY_ENV_VAR}", latency_model),
-            ("--loss", loss, f"${LOSS_ENV_VAR}", loss_model),
-        )
-        if model is not None
-    ]
-    if active_knobs and effective_engine not in EVENT_ENGINE_NAMES:
-        print(
-            f"error: {', '.join(active_knobs)} only applies to the "
-            f"event-driven engines "
-            f"({', '.join(sorted(EVENT_ENGINE_NAMES))}); engine "
-            f"{effective_engine!r} runs the synchronous cycle model "
-            "without message timing -- add --engine event/fast-event or "
-            "drop the option",
-            file=sys.stderr,
-        )
-        return 2
-    if (
-        resolved_shards is not None
-        and effective_engine not in SHARDED_ENGINE_NAMES
-    ):
-        knob = "--shards" if shards is not None else f"${SHARDS_ENV_VAR}"
-        print(
-            f"error: {knob} only applies to the sharded engine "
-            f"({', '.join(sorted(SHARDED_ENGINE_NAMES))}); engine "
-            f"{effective_engine!r} runs single-process -- add --engine "
-            "fast-sharded or drop the option",
-            file=sys.stderr,
-        )
         return 2
     for experiment_id in ids:
         started = time.perf_counter()

@@ -65,6 +65,8 @@ class LiveEngine(BaseEngine):
     5
     """
 
+    family = "cycle"
+    features = frozenset({"adversary", "validation"})
     shuffle_each_cycle: bool = True
     """Same contract as ``CycleEngine.shuffle_each_cycle``."""
 

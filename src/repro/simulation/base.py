@@ -13,6 +13,7 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
+    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -37,6 +38,27 @@ NodeFactory = Callable[[Address, random.Random], GossipNode]
 
 ViewRow = Tuple[Address, List[Address], Sequence[int]]
 """One view as ``(address, peer addresses, hop counts)``."""
+
+FEATURES = (
+    "latency", "loss", "shards", "adversary", "validation", "extension"
+)
+"""What some registry engine lacks: the vocabulary of engine ``features``."""
+
+
+def require(engine: type, feature: str, asked_by: str) -> None:
+    """Raise unless the ``engine`` class supports ``feature``, naming what
+    asked for it and the registry engines that do."""
+    if feature in engine.features:
+        return
+    from repro.experiments.common import ENGINES  # the registry is above
+
+    names = {v: k for k, v in ENGINES.items()}
+    able = [k for k, v in ENGINES.items() if feature in v.features]
+    raise ConfigurationError(
+        f"{asked_by} needs {feature!r}, which engine "
+        f"{names.get(engine, engine.__name__)!r} does not support; "
+        f"engines that do: {', '.join(able)}"
+    )
 
 
 def rows_of_views(
@@ -72,6 +94,11 @@ class BaseEngine:
         ``handle_response`` / ``view``).
     """
 
+    family: str = ""
+    """``cycle``, ``event`` or ``sharded``: byte-identical within one."""
+    features: FrozenSet[str] = frozenset()
+    """The :data:`FEATURES` this engine supports (see :func:`require`)."""
+
     def __init__(
         self,
         config: Optional[ProtocolConfig] = None,
@@ -84,6 +111,9 @@ class BaseEngine:
             raise ConfigurationError(
                 "engine needs a ProtocolConfig or a node_factory"
             )
+        if config is not None and config.validate_descriptors:
+            # e.g. the sharded engine's C workers never validate
+            require(type(self), "validation", f"protocol {config.label!r}")
         self.config = config
         self.rng = rng if rng is not None else random.Random(seed)
         self._node_factory = node_factory

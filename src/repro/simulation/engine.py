@@ -41,6 +41,8 @@ class CycleEngine(BaseEngine):
     20
     """
 
+    family = "cycle"
+    features = frozenset({"adversary", "validation", "extension"})
     shuffle_each_cycle: bool = True
     """When ``True`` (the default, and the paper's model) nodes initiate in
     a fresh random permutation each cycle.  Setting this to ``False`` fixes

@@ -96,6 +96,8 @@ class EventEngine(BaseEngine):
         Per-message drop model (default: no loss).
     """
 
+    family = "event"
+    features = frozenset({"latency", "loss", "adversary", "validation"})
     def __init__(
         self,
         config: Optional[ProtocolConfig] = None,

@@ -98,6 +98,8 @@ class FastCycleEngine(FlatArrayEngine):
     20
     """
 
+    family = "cycle"
+    features = frozenset({"adversary", "validation"})
     shuffle_each_cycle: bool = True
     """Same contract as ``CycleEngine.shuffle_each_cycle``."""
 

@@ -163,6 +163,8 @@ class FastEventEngine(FlatArrayEngine):
     20
     """
 
+    family = "event"
+    features = frozenset({"latency", "loss", "adversary", "validation"})
     shuffle_each_cycle: bool = False
     """No per-cycle permutation exists in the asynchronous model; node
     interleaving emerges from the timer phases."""

@@ -718,6 +718,8 @@ class ShardedCycleEngine(FlatArrayEngine):
     K-independent.
     """
 
+    family = "sharded"
+    features = frozenset({"shards"})
     shuffle_each_cycle = False
     """Round phases are order-independent by construction; the engine
     RNG is never drawn for activation order (keeps parent-side draws
@@ -741,12 +743,6 @@ class ShardedCycleEngine(FlatArrayEngine):
             omniscient_peer_selection=omniscient_peer_selection,
             accelerate=accelerate,
         )
-        if self.config is not None and self.config.validate_descriptors:
-            raise ConfigurationError(
-                "the sharded engine does not support "
-                "validate_descriptors; use the cycle, fast or event "
-                "family for defended protocols"
-            )
         resolved = resolve_shards(shards)
         self.shards = 1 if resolved is None else resolved
         # The keyed streams hang off a digest of the initial RNG state:
@@ -869,13 +865,6 @@ class ShardedCycleEngine(FlatArrayEngine):
         if self._conns:
             return
         use_accel = self._accel is not None
-        if use_accel:
-            # Compile/warm the shared C-core cache once, in the parent,
-            # so K spawning workers don't race the compiler (the same
-            # pre-warm run_plan gives its pool workers).
-            from repro.workloads.runtime import warm_shared_caches
-
-            warm_shared_caches(("fast-sharded",))
         ctx = multiprocessing.get_context("spawn")
         conns, procs = [], []
         for k in range(self.shards):

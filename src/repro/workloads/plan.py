@@ -30,7 +30,9 @@ families.
 Like the specs, plans validate eagerly: unknown engines, scales,
 measurements or unparsable protocol labels raise
 :class:`~repro.core.errors.ConfigurationError` at construction (and
-therefore at :meth:`ExperimentPlan.from_json` time), never mid-study.
+therefore at :meth:`ExperimentPlan.from_json` time), never mid-study;
+an engine x feature combination the engine does not support raises at
+expansion (:func:`plan_cells`), before any cell runs.
 Failures *during* execution -- a cell raising, a worker process dying,
 the ``timeout`` budget expiring -- cancel the remaining cells and raise
 :class:`~repro.core.errors.PlanExecutionError` naming the cell.
@@ -60,6 +62,7 @@ from typing import (
 
 from repro.core.config import ProtocolConfig
 from repro.core.errors import ConfigurationError, PlanExecutionError
+from repro.simulation.base import require
 from repro.workloads.library import SCENARIOS, named_scenario
 from repro.workloads.runtime import (
     ScenarioRuntime,
@@ -853,36 +856,39 @@ def plan_cells(plan: ExperimentPlan) -> List[PlanCell]:
 
     The order -- scales, then engines, then protocols, then seeds -- is
     the execution *and* record order of :func:`run_plan`, independent of
-    worker count and completion order.
+    worker count and completion order.  Every feature a cell uses (its
+    protocol's, its scenario's, the environment's knobs) is checked
+    against its engine here, so an unsupported combination raises
+    :class:`~repro.core.errors.ConfigurationError` before any cell runs.
     """
-    from repro.adversary.harness import ADVERSARY_ENGINE_NAMES
-    from repro.experiments.common import resolve_engine_name
+    from repro.experiments.common import (
+        ENGINES,
+        engine_knobs,
+        resolve_engine_name,
+    )
     from repro.extensions.registry import is_extension_protocol
 
     cells: List[PlanCell] = []
     for scale_entry, scale in zip(plan.scales, plan_scales(plan)):
         spec = plan.resolve_scenario(scale)
         spec_payload = spec.to_dict()
+        scenario = f"scenario {spec.name!r}"
         for engine_name in plan.engines:
             effective_engine = resolve_engine_name(
                 engine_name, default=scale.default_engine
             )
-            if (
-                spec.adversary is not None
-                and effective_engine not in ADVERSARY_ENGINE_NAMES
-            ):
-                raise ConfigurationError(
-                    f"scenario {spec.name!r} carries an adversary block, "
-                    f"which runs on the {sorted(ADVERSARY_ENGINE_NAMES)} "
-                    f"engines only; cell resolved to {effective_engine!r}"
-                )
+            engine = ENGINES[effective_engine]
+            engine_knobs(
+                engine, spec.latency, spec.loss,
+                flag=lambda knob: f"{scenario} {knob}",
+            )
+            if spec.adversary is not None:
+                require(engine, "adversary", f"{scenario} adversary block")
             for label in plan.protocols:
-                if is_extension_protocol(label) and effective_engine != "cycle":
-                    raise ConfigurationError(
-                        f"extension protocol {label!r} runs on the 'cycle' "
-                        f"engine only (bespoke node factory); cell "
-                        f"resolved to {effective_engine!r}"
-                    )
+                if is_extension_protocol(label):
+                    require(engine, "extension", f"protocol {label!r}")
+                elif ProtocolConfig.from_label(label).validate_descriptors:
+                    require(engine, "validation", f"protocol {label!r}")
                 for seed in plan.seeds:
                     cells.append(
                         PlanCell(

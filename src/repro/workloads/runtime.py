@@ -34,7 +34,8 @@ from repro.core.config import ProtocolConfig
 from repro.core.descriptor import Address
 from repro.core.errors import ConfigurationError
 from repro.simulation import churn as churn_mod
-from repro.simulation.base import BaseEngine, rows_of_views
+from repro.simulation.arrayviews import FlatArrayEngine
+from repro.simulation.base import BaseEngine, require, rows_of_views
 from repro.simulation.scenarios import (
     GrowingScenario,
     lattice_bootstrap,
@@ -114,10 +115,6 @@ def generate_trace(
     return events
 
 
-_ACCELERATED_ENGINES = frozenset({"fast", "fast-event", "fast-sharded"})
-"""Registry engines that compile the shared C core at first use."""
-
-
 def warm_shared_caches(engine_names: Sequence[Optional[str]]) -> None:
     """Populate on-disk caches the given engines share, once, up front.
 
@@ -130,8 +127,12 @@ def warm_shared_caches(engine_names: Sequence[Optional[str]]) -> None:
     A no-op when no accelerated engine is requested or ``REPRO_NO_ACCEL``
     disables the core.
     """
-    if _ACCELERATED_ENGINES.intersection(
-        name for name in engine_names if name is not None
+    from repro.experiments.common import ENGINES
+
+    if any(
+        issubclass(ENGINES[name], FlatArrayEngine)
+        for name in engine_names
+        if name is not None
     ):
         from repro.simulation._fastcore import load_accelerator
 
@@ -257,9 +258,9 @@ class ScenarioRuntime:
         self.trace: List[TraceEvent] = []
         self._sessions: Dict[tuple, Address] = {}
         self._trace_pos = 0
-        # Event-driven engines expose run_time (sub-cycle advancement);
-        # that is what makes exact-time trace execution possible.
-        self._event_driven = callable(getattr(engine, "run_time", None))
+        # The event family advances in sub-cycle time (run_time); that is
+        # what makes exact-time trace execution possible.
+        self._event_driven = engine.family == "event"
         # The runtime clock advances on the engines' integer tick grid so
         # the rounded per-slice durations telescope exactly: the final
         # slice always lands on the cycle boundary (and fires its
@@ -401,14 +402,13 @@ def compile_scenario(
             "compile_scenario needs cycles (explicitly, via the spec, or "
             "via scale=)"
         )
-    if (spec.latency is not None or spec.loss is not None) and not callable(
-        getattr(engine, "run_time", None)
+    for feature, setting, field in (
+        ("latency", spec.latency, "latency"),
+        ("loss", spec.loss, "loss"),
+        ("adversary", spec.adversary, "adversary block"),
     ):
-        raise ConfigurationError(
-            f"scenario {spec.name!r} sets latency/loss, which only the "
-            "event-driven engines model; compile it onto engine "
-            "'event'/'fast-event' or drop the setting"
-        )
+        if setting is not None:
+            require(type(engine), feature, f"scenario {spec.name!r} {field}")
     if len(engine) != 0:
         raise ConfigurationError(
             "compile_scenario bootstraps the population itself; pass a "

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.adversary import (
-    ADVERSARY_ENGINE_NAMES,
     AdversaryState,
     NetworkInterceptor,
     intercept_network,
@@ -194,11 +193,6 @@ class TestInstallation:
             prepare_run(
                 spec, CONFIG, n_nodes=20, seed=1, engine="fast-sharded"
             )
-
-    def test_engine_names_constant(self):
-        assert ADVERSARY_ENGINE_NAMES == {
-            "cycle", "fast", "live", "event", "fast-event"
-        }
 
 
 class _StubNetwork:

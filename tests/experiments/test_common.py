@@ -260,7 +260,8 @@ class TestLatencyLossKnobs:
 
         with pytest.raises(ConfigurationError) as error:
             make_engine(newscast(6), seed=1, engine="fast", latency=0.1)
-        assert "event-driven" in str(error.value)
+        assert "needs 'latency'" in str(error.value)
+        assert "event, fast-event" in str(error.value)
 
     def test_env_var_rejected_for_cycle_engines(self, monkeypatch):
         from repro.core.config import newscast

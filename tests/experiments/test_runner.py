@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.runner import build_parser, main
+from repro.experiments.runner import build_parser, engine_table, main
 
 
 class TestParser:
@@ -162,8 +162,7 @@ class TestListScenarios:
         out = capsys.readouterr().out
         for scale in ("quick", "default", "full"):
             assert scale in out
-        for engine in ("cycle", "fast", "live", "event", "fast-event"):
-            assert engine in out
+        assert "\n".join(engine_table()) in out
         assert "churn-trace" in out
         assert "bootstrap kinds" in out
 
@@ -257,6 +256,30 @@ class TestRunSpec:
         bad["engines"] = ["warpdrive"]
         assert main(["run-spec", self._write(tmp_path, bad)]) == 2
         assert "warpdrive" in capsys.readouterr().err
+
+    def test_validation_protocol_on_sharded_engine_fails_eagerly(
+        self, capsys, tmp_path
+    ):
+        bad = dict(self.PLAN)
+        bad["protocols"] = ["(rand,head,pushpull);V"]
+        bad["engines"] = ["fast-sharded"]
+        assert main(["run-spec", self._write(tmp_path, bad)]) == 2
+        captured = capsys.readouterr()
+        assert "'validation'" in captured.err
+        assert "'fast-sharded'" in captured.err
+        assert "run(s)" not in captured.out
+
+    def test_spec_latency_on_cycle_engine_fails_eagerly(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_LATENCY", raising=False)
+        spec = dict(self.PLAN["scenario"], latency=0.1)
+        path = self._write(tmp_path, spec)
+        assert main(["run-spec", path, "--engine", "fast"]) == 2
+        captured = capsys.readouterr()
+        assert "'latency'" in captured.err
+        assert "'fast'" in captured.err
+        assert "run(s)" not in captured.out
 
     def test_missing_file_fails_cleanly(self, capsys):
         assert main(["run-spec", "/nonexistent/plan.json"]) == 2

@@ -15,6 +15,7 @@ import pytest
 from repro.core.errors import ConfigurationError, PlanExecutionError
 from repro.experiments.common import SCALES, resolve_workers
 from repro.workloads import (
+    AdversarySpec,
     CatastrophicFailure,
     ChurnTrace,
     ContinuousChurn,
@@ -216,13 +217,15 @@ class TestWorkerResolution:
 
 class TestFailurePropagation:
     def bad_plan(self) -> ExperimentPlan:
-        # Valid as a *plan* (plans do not cross-check spec knobs against
-        # engines), but every cell fails in prepare_run: latency on a
-        # cycle-family engine is an eager ConfigurationError.
+        # Valid as a plan and at expansion, but every cell fails in
+        # prepare_run: attacker index 50 does not exist among the 20
+        # bootstrapped nodes, which only the placement can tell.
         return ExperimentPlan(
             name="doomed",
             scenario=ScenarioSpec(
-                name="needs-event-engine", bootstrap="random", latency=0.5
+                name="attacker-out-of-range",
+                bootstrap="random",
+                adversary=AdversarySpec(kind="hub", attackers=(50,)),
             ),
             protocols=("(rand,head,pushpull)",),
             scales=("quick",),
@@ -233,11 +236,11 @@ class TestFailurePropagation:
         )
 
     def test_cell_failure_serial_names_the_cell(self):
-        with pytest.raises(PlanExecutionError, match="needs-event-engine"):
+        with pytest.raises(PlanExecutionError, match="attacker-out-of-range"):
             run_plan(self.bad_plan(), workers=1)
 
     def test_cell_failure_parallel_names_the_cell(self):
-        with pytest.raises(PlanExecutionError, match="needs-event-engine") as info:
+        with pytest.raises(PlanExecutionError, match="attacker-out-of-range") as info:
             run_plan(self.bad_plan(), workers=2)
         assert isinstance(info.value.__cause__, ConfigurationError)
 

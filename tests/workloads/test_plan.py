@@ -8,6 +8,7 @@ from repro.workloads import (
     CatastrophicFailure,
     ExperimentPlan,
     ScenarioSpec,
+    plan_cells,
     run_plan,
 )
 
@@ -287,3 +288,26 @@ class TestEngineMetadata:
         record = run_plan(small_plan(engines=(None,))).records[0]
         assert record.engine == "fast"
         assert record.engine_requested is None
+
+
+class TestFeaturesCheckedAtExpansion:
+    # Regression: both combinations used to expand cleanly and then fail
+    # inside run_plan as a PlanExecutionError, after cells had started.
+
+    def test_validation_protocol_on_sharded_engine(self):
+        plan = small_plan(
+            protocols=("(rand,head,pushpull);V",), engines=("fast-sharded",)
+        )
+        with pytest.raises(ConfigurationError, match="'fast-sharded'"):
+            plan_cells(plan)
+
+    def test_spec_latency_on_cycle_family_engine(self, monkeypatch):
+        monkeypatch.delenv("REPRO_LATENCY", raising=False)
+        plan = small_plan(
+            scenario=ScenarioSpec(
+                name="delayed", bootstrap="random", latency=0.1
+            ),
+            engines=("fast",),
+        )
+        with pytest.raises(ConfigurationError, match="'latency'"):
+            plan_cells(plan)

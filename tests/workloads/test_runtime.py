@@ -75,7 +75,9 @@ class TestCompile:
 
     def test_latency_rejected_for_cycle_engine(self):
         engine = CycleEngine(NEWSCAST, seed=0)
-        with pytest.raises(ConfigurationError, match="event-driven"):
+        with pytest.raises(
+            ConfigurationError, match="needs 'latency'.*event, fast-event"
+        ):
             compile_scenario(
                 ScenarioSpec(latency=0.2), engine, n_nodes=10, cycles=5
             )
