@@ -15,7 +15,7 @@ import os
 import random
 from typing import Any, Callable, Dict, Optional, Tuple, Type, Union
 
-from repro.core.config import ProtocolConfig
+from repro.core.config import ProtocolConfig, studied_protocols
 from repro.core.errors import ConfigurationError
 from repro.core.policies import PeerSelection, Propagation, ViewSelection
 from repro.net.engine import LiveEngine
@@ -441,7 +441,8 @@ def make_engine(
     engine is a configuration error, not a silent no-op.
 
     ``shards`` (or ``$REPRO_SHARDS``; 0 = one per core) partitions a
-    single run across worker processes and only applies to the
+    single run across worker processes (with the C core; without one
+    the shards run in-process) and only applies to the
     ``fast-sharded`` engine -- requesting it with any other engine is
     likewise a configuration error, not a silent no-op.
     """
@@ -454,16 +455,7 @@ def make_engine(
 
 
 # -- protocol sets, as the paper groups them ------------------------------------
-
-
-def studied_protocols(view_size: int) -> Tuple[ProtocolConfig, ...]:
-    """The eight instances of the main evaluation (paper Section 4.3)."""
-    instances = []
-    for ps in (PeerSelection.RAND, PeerSelection.TAIL):
-        for vs in (ViewSelection.HEAD, ViewSelection.RAND):
-            for vp in (Propagation.PUSH, Propagation.PUSHPULL):
-                instances.append(ProtocolConfig(ps, vs, vp, view_size))
-    return tuple(instances)
+# (``studied_protocols``, the eight of Section 4.3, is ``core.config``'s.)
 
 
 def push_protocols(view_size: int) -> Tuple[ProtocolConfig, ...]:

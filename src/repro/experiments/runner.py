@@ -364,6 +364,14 @@ def _cmd_run(
     return 0
 
 
+_SHARDS_HELP = (
+    "shards within each single run (0 = one per core; also $REPRO_SHARDS); "
+    "fast-sharded engine only -- with the C core the shards are worker "
+    "processes running the C phases, without one they run in-process; "
+    "results are identical at any shard count"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -438,9 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="K",
-        help="shard processes within each single run (0 = one per core; "
-        "also $REPRO_SHARDS); fast-sharded engine only -- results are "
-        "identical at any shard count",
+        help=_SHARDS_HELP,
     )
     run_parser = subparsers.add_parser("run", help="run experiments")
     run_parser.add_argument(
@@ -495,9 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="K",
-        help="shard processes within each single run (0 = one per core; "
-        "also $REPRO_SHARDS); fast-sharded engine only -- results are "
-        "identical at any shard count",
+        help=_SHARDS_HELP,
     )
     return parser
 

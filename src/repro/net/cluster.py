@@ -42,7 +42,7 @@ from repro.core.descriptor import Address, NodeDescriptor
 from repro.core.errors import ConfigurationError, NodeNotFoundError
 from repro.core.protocol import GossipNode
 from repro.graph.metrics import average_path_length, clustering_coefficient
-from repro.graph.snapshot import GraphSnapshot
+from repro.graph.snapshot import GraphSnapshot, view_edge_arrays
 from repro.net.daemon import GossipDaemon
 from repro.net.transport import (
     LoopbackNetwork,
@@ -60,15 +60,8 @@ def in_degrees(views: Dict[Address, Sequence[NodeDescriptor]]) -> np.ndarray:
     node ``i``.  Descriptors pointing at dead addresses are ignored, like
     :class:`~repro.graph.snapshot.GraphSnapshot` construction does.
     """
-    index = {address: i for i, address in enumerate(views)}
-    counts = np.zeros(len(views), dtype=np.int64)
-    for address, entries in views.items():
-        own = index[address]
-        for descriptor in entries:
-            target = index.get(descriptor.address)
-            if target is not None and target != own:
-                counts[target] += 1
-    return counts
+    _, _, dst = view_edge_arrays(views)
+    return np.bincount(dst, minlength=len(views))
 
 
 def summarize_views(
@@ -82,12 +75,13 @@ def summarize_views(
     Returns in-degree summary statistics (directed) plus the clustering
     coefficient and average path length of the undirected communication
     graph -- computed with the same :mod:`repro.graph` pipeline the
-    simulation experiments use.
+    simulation experiments use, from one pass over the descriptors.
     """
     if rng is None:
         rng = random.Random(0)
-    degrees = in_degrees(views)
-    snapshot = GraphSnapshot.from_views(views)
+    addresses, src, dst = view_edge_arrays(views)
+    degrees = np.bincount(dst, minlength=len(addresses))
+    snapshot = GraphSnapshot.from_edge_arrays(addresses, src, dst)
     return {
         "nodes": float(len(views)),
         "in_degree_mean": float(degrees.mean()) if degrees.size else 0.0,

@@ -850,8 +850,7 @@ class FlatArrayEngine(BaseEngine):
     # attack policy (see ``repro.adversary.harness.IndexedAdversary``)
     # or ``None`` on an honest run, and is consulted for the ids in
     # ``hooks.attackers`` only -- like the object engines, which wrap
-    # only attacker nodes.  The sharded workers borrow the steps onto
-    # their ``_ShmKernel`` shell, along with ``_merge_into``.
+    # only attacker nodes.
 
     def select(self, node: int, draw, hooks=None) -> int:
         """First half of the active thread: age the view, select a peer.

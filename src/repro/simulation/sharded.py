@@ -4,11 +4,11 @@ The paper's experiments stop at N = 10^4..10^5 nodes, which is where the
 single-core flat-array kernel tops out; this module shards **one**
 population across K worker processes so a single run scales toward
 N = 10^6.  The interned id space is partitioned round-robin
-(``id % K``), every worker owns the view rows of its ids, and all rows
-live in :mod:`multiprocessing.shared_memory` segments mapped into every
-process -- the kernel is already contiguous ``array('q')`` rows (see
-:mod:`repro.simulation.arrayviews`), so this is a storage-backend swap,
-not a protocol rewrite.
+(``id % K``), every worker owns the view rows of its ids, and with the
+C core and K > 1 all rows live in :mod:`multiprocessing.shared_memory`
+segments mapped into every process -- the kernel is already contiguous
+``array('q')`` rows (see :mod:`repro.simulation.arrayviews`), so this is
+a storage-backend swap, not a protocol rewrite.
 
 Execution model: BSP rounds, a third execution family
 -----------------------------------------------------
@@ -44,12 +44,31 @@ a **stateless counter RNG**: a splitmix64 chain keyed by
 ``(phase_seed, purpose, round, node, source)``.  No draw depends on any
 other draw, on iteration order, or on which process evaluates it -- so
 the results are a pure function of ``(seed, protocol, scenario)`` and
-are *identical for every shard count K*, every backend (the kernel's
-Python steps, or the C phases that schedule ``k_select`` / ``k_payload``
-/ ``k_receive`` in ``_fastcore.c``) and every process placement.  The
-differential suite pins ``K in {1, 2, 4}``, both backends and the
-multi-process path to the in-process serial execution of the same
-rounds.
+are *identical for every shard count K*, both backends and every
+process placement.
+
+Two outcomes
+------------
+
+Which backend runs a round is the kernel's one rule
+(:meth:`~repro.simulation.arrayviews.FlatArrayEngine._backend`), and it
+is the only branch of :meth:`ShardedCycleEngine.run_cycle`:
+
+- **The kernel's Python steps**, in this process, for every K: one
+  round of ``select`` / ``payload`` / ``receive`` scheduled as the three
+  phases and fed the keyed draws.  Without a C core, ``--shards K``
+  therefore spawns nothing and allocates no shared memory; with one,
+  the rounds that need a Python call (a ``reachable`` predicate only
+  this process can evaluate) run here over the shared rows.
+- **The C phases** (``fs_request_phase`` / ``fs_deliver`` in
+  ``_fastcore.c``, the schedulers of ``k_select`` / ``k_payload`` /
+  ``k_receive``), driven by one loop that makes the same three calls on
+  one in-process shard for K = 1 and on the K workers for K > 1.  A
+  :class:`~repro.simulation.churn.TemporaryPartition` window reaches all
+  K shards as data.  Workers only ever run C.
+
+The differential suite pins ``K in {1, 2, 4}``, both backends and the
+multi-process path to one another.
 
 Shared-memory discipline
 ------------------------
@@ -79,11 +98,15 @@ import os
 import weakref
 from array import array
 from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import ProtocolConfig
 from repro.core.errors import ConfigurationError
-from repro.simulation._fastcore import Accelerator, load_accelerator
+from repro.simulation._fastcore import (
+    Accelerator,
+    load_accelerator,
+    unavailable_reason,
+)
 from repro.simulation.arrayviews import FlatArrayEngine
 
 __all__ = [
@@ -353,153 +376,85 @@ class ShmVector:
 
 
 # ---------------------------------------------------------------------------
-# The round phases, pure-Python backend: the kernel's exchange steps
-# (`FlatArrayEngine.select` / `payload` / `receive`) scheduled as BSP
-# phases and fed the keyed draws.  The C phases `fs_request_phase` /
-# `fs_deliver` in _fastcore.c are the same schedulers over the C steps
-# `k_select` / `k_payload` / `k_receive`; `store` is either the engine
-# itself (serial path) or a worker's _ShmKernel shell -- both expose the
-# steps.
+# The C phases of one shard: `fs_request_phase` / `fs_deliver` in
+# _fastcore.c over the flat storage of ``store`` -- a worker's
+# _ShmKernel shell, or the engine itself when K = 1.  A message record
+# is int64 [src, dst, npay, ids[c+1], hops[c+1]]; payload hop counts
+# carry the receiver-side increaseHopCount already applied.
 # ---------------------------------------------------------------------------
 
-# Message record: (src, dst, payload_ids, payload_hops); payload hop
-# counts carry the receiver-side increaseHopCount already applied, like
-# the serial kernel's payloads.  The shared-memory boxes pack the same
-# record as int64 [src, dst, npay, ids[c+1], hops[c+1]].
 
+class _ShardPhases:
+    """One shard's side of the round protocol the engine broadcasts
+    (:func:`_broadcast`):
 
-def _phase_request_py(store, seed, rnd, shard, nshards, n_ids,
-                      reachable=None):
-    """Phase 1 for one shard's ids: age, select, emit request records.
+    - ``("req", rnd, n_ids)`` -> ``(records, failed)``: phase 1 into
+      this shard's request box;
+    - ``("dreq", rnd, counts)`` / ``("drep", rnd, counts)`` ->
+      ``(completed, failed, replies)``: phase 2 / 3 over every shard's
+      request / reply box, ``counts`` records each.
 
-    Returns ``(messages, failed)``; ``failed`` is only nonzero under a
-    ``reachable`` predicate, which only the parent's serial round passes
-    (the C phases take a partition as data instead) -- dead destinations
-    are counted at delivery.
+    ``boxes`` (request boxes, reply boxes: one per shard, anything with
+    ``buffer_info``) and ``groups`` (the open partition, or ``None``)
+    are set at the barrier.  In-process it also speaks the pipe's
+    ``send`` / ``recv``, so one round loop serves both placements.
     """
-    alive = store._alive
-    addr_of = store._addr_of if reachable is not None else None
-    failed = 0
-    messages = []
 
-    def draw(n):
-        # the keyed selection draw of the node the loop is at: `i` is
-        # read when `select` calls back, within the same iteration.
-        return _fs_below(_fs_key(seed, _FS_SELECT, rnd, i, 0), 0, n)
+    def __init__(self, store, accel, shard, nshards, phase_seed):
+        self.store = store
+        self.accel = accel
+        self.shard = shard
+        self.nshards = nshards
+        self.phase_seed = phase_seed
+        self.boxes = ((), ())
+        self.groups = None
+        self._answer = None
 
-    for i in range(shard, n_ids, nshards):
-        if not alive[i]:
-            continue
-        p = store.select(i, draw)
-        if p < 0:
-            continue
-        if reachable is not None and not reachable(addr_of[i], addr_of[p]):
-            failed += 1
-            continue
-        messages.append((i, p, *store.payload(i, p, False)))
-    return messages, failed
+    def run(self, op, rnd, arg):
+        store, accel, shard = self.store, self.accel, self.shard
+        pointer = Accelerator.pointer
+        req_boxes, rep_boxes = self.boxes
+        if op == "req":
+            store._accel_setup(accel, self.groups)
+            failed = array("q", (0,))
+            n = accel.shard_request(
+                store._ctx, self.phase_seed, rnd, shard, self.nshards, arg,
+                pointer(req_boxes[shard].buffer_info()[0]),
+                pointer(failed.buffer_info()[0]))
+            return int(n), failed[0]
+        is_request = op == "dreq"
+        boxes = req_boxes if is_request else rep_boxes
+        do_reply = is_request and store.config.pull
+        store._accel_setup(accel)
+        addrs = array("q", [box.buffer_info()[0] for box in boxes])
+        counts = array("q", arg)
+        out = array("q", (0, 0, 0))
+        accel.shard_deliver(
+            store._ctx, self.phase_seed, rnd, int(is_request), shard,
+            self.nshards,
+            pointer(addrs.buffer_info()[0]),
+            pointer(counts.buffer_info()[0]),
+            len(boxes),
+            int(do_reply),
+            pointer(rep_boxes[shard].buffer_info()[0]) if do_reply else None,
+            pointer(out.buffer_info()[0]),
+        )
+        return tuple(out)
 
+    def send(self, cmd) -> None:
+        self._answer = self.run(*cmd)
 
-def _dst_src(message):
-    return (message[1], message[0])
-
-
-def _phase_deliver_py(store, seed, rnd, is_request, messages, do_reply):
-    """Phases 2/3: apply ``messages`` to this store's ids in (dst, src) order.
-
-    Returns ``(completed, failed, replies)``.  For requests under pull
-    (``do_reply``), the reply snapshot is taken *before* the merge,
-    exactly like the passive thread of Figure 1; counters only move on
-    the request phase.
-    """
-    alive = store._alive
-    purpose = _FS_REQ if is_request else _FS_REP
-    completed = failed = 0
-    replies = []
-    for src, dst, pids, phops in sorted(messages, key=_dst_src):
-        if not alive[dst]:
-            if is_request:
-                failed += 1
-            continue
-        if do_reply:
-            replies.append((dst, src, *store.payload(dst, src, True)))
-        if pids:
-            key = _fs_key(seed, purpose, rnd, dst, src)
-            store.receive(
-                dst, src, pids, phops, sample=_keyed_sampler(key)
-            )
-        if is_request:
-            completed += 1
-    return completed, failed, replies
+    def recv(self):
+        return self._answer
 
 
-def _pack_records(box, stride, c, messages):
-    """Write ``messages`` into a shared box as int64 records; return count."""
-    w = 0
-    for src, dst, pids, phops in messages:
-        off = w * stride
-        box[off] = src
-        box[off + 1] = dst
-        n = len(pids)
-        box[off + 2] = n
-        if n:
-            box[off + 3:off + 3 + n] = array("q", pids)
-            hoff = off + 3 + c + 1
-            box[hoff:hoff + n] = array("q", phops)
-        w += 1
-    return w
-
-
-def _unpack_for_shard(boxes, counts, stride, c, shard, nshards):
-    """Collect this shard's records from all boxes as message tuples."""
-    messages = []
-    for box, count in zip(boxes, counts):
-        for k in range(count):
-            off = k * stride
-            dst = box[off + 1]
-            if dst % nshards != shard:
-                continue
-            npay = box[off + 2]
-            hoff = off + 3 + c + 1
-            messages.append((
-                box[off],
-                dst,
-                list(box[off + 3:off + 3 + npay]),
-                list(box[hoff:hoff + npay]),
-            ))
-    return messages
-
-
-def _request_c(accel, store, groups, seed, rnd, shard, nshards, n_ids, box):
-    """Run `fs_request_phase` into ``box`` under the open partition
-    ``groups`` (or ``None``); returns ``(records, failed)``."""
-    store._accel_setup(accel, groups)
-    failed = array("q", (0,))
-    n = accel.shard_request(
-        store._ctx, seed, rnd, shard, nshards, n_ids,
-        Accelerator.pointer(box.buffer_info()[0]),
-        Accelerator.pointer(failed.buffer_info()[0]))
-    return int(n), failed[0]
-
-
-def _deliver_c(accel, store, seed, rnd, is_request, shard, nshards,
-               boxes, counts, do_reply, reply_box):
-    """Run `fs_deliver` over ``boxes`` (anything with ``buffer_info``)."""
-    store._accel_setup(accel)
-    addrs = array("q", [box.buffer_info()[0] for box in boxes])
-    cnts = array("q", counts)
-    out = array("q", (0, 0, 0))
-    pointer = Accelerator.pointer
-    accel.shard_deliver(
-        store._ctx, seed, rnd, 1 if is_request else 0, shard, nshards,
-        pointer(addrs.buffer_info()[0]),
-        pointer(cnts.buffer_info()[0]),
-        len(boxes),
-        1 if do_reply else 0,
-        pointer(reply_box.buffer_info()[0]) if reply_box is not None else None,
-        pointer(out.buffer_info()[0]),
-    )
-    return out
+def _broadcast(shards, *cmd):
+    """Send ``cmd`` to every shard, then collect the answers in shard
+    order: the shards run the phase concurrently, the last answer is
+    the barrier."""
+    for shard in shards:
+        shard.send(cmd)
+    return [shard.recv() for shard in shards]
 
 
 # ---------------------------------------------------------------------------
@@ -510,35 +465,20 @@ _STORE_ROLES = ("vids", "vhops", "vlen", "row_of", "alive")
 
 
 class _ShmKernel:
-    """The worker-side stand-in for the engine.
-
-    Just enough flat-array attributes for the kernel's exchange steps
-    and ``_accel_setup`` -- borrowed unbound from
-    :class:`FlatArrayEngine` -- to run against attached segments, plus
-    (with the C core) the worker's own C-side context.
-    ``rng`` stays ``None`` on purpose: every draw on the sharded path is
-    keyed, so touching the engine RNG from a worker would be a bug, and
-    fails loudly.
-    """
+    """The worker-side stand-in for the engine: the flat storage as
+    attached segments, the worker's own C-side context, and just enough
+    attributes for ``_accel_setup`` -- borrowed unbound from
+    :class:`FlatArrayEngine` -- to register them with the C core."""
 
     shuffle_each_cycle = False
-    _maybe_dead_refs = True  # workers never see the parent's flag: filter
-    select = FlatArrayEngine.select
-    payload = FlatArrayEngine.payload
-    receive = FlatArrayEngine.receive
-    _merge_into = FlatArrayEngine._merge_into
     _accel_setup = FlatArrayEngine._accel_setup
 
     def __init__(
-        self,
-        config: ProtocolConfig,
-        omniscient: bool,
-        accel: Optional[Accelerator],
+        self, config: ProtocolConfig, omniscient: bool, accel: Accelerator
     ) -> None:
         self.config = config
         self.omniscient_peer_selection = omniscient
-        self.rng = None
-        self._ctx = accel.context(self) if accel is not None else None
+        self._ctx = accel.context(self)
         self._vids = None
         self._vhops = None
         self._vlen = None
@@ -576,77 +516,33 @@ def _worker_attach(shell, attachments, names):
     return req, rep
 
 
-def _worker_main(shard, nshards, conn, config, phase_seed, omniscient,
-                 use_accel):
+def _worker_main(shard, nshards, conn, config, phase_seed, omniscient):
     """Shard worker loop: strict request/response over the pipe.
 
-    Commands: ``("segs", names)`` -> ``"ok"`` after (re)attaching;
-    ``("req", rnd, n_ids)`` -> ``(request records, failed)``;
-    ``("dreq", rnd, counts)`` -> ``(completed, failed, n_replies)``;
-    ``("drep", rnd, counts)`` -> ``"ok"``; ``("stop",)`` exits.
+    ``("segs", names)`` -> ``"ok"`` after (re)attaching the storage and
+    the boxes and taking the open partition; ``("stop",)`` exits; every
+    other command is a C phase (:class:`_ShardPhases`).
     """
-    accel = load_accelerator() if use_accel else None
+    accel = load_accelerator()
+    if accel is None:
+        raise RuntimeError("shard worker: " + unavailable_reason())
     shell = _ShmKernel(config, omniscient, accel)
+    phases = _ShardPhases(shell, accel, shard, nshards, phase_seed)
     attachments: Dict[object, ShmVector] = {}
-    groups = None  # the open partition, by value in the "segs" handshake
-    req_boxes: List[ShmVector] = []
-    rep_boxes: List[ShmVector] = []
-    c = config.view_size
-    stride = 2 * (c + 1) + 3
-    pull = config.pull
     try:
         while True:
             try:
                 cmd = conn.recv()
             except (EOFError, OSError):
                 break
-            op = cmd[0]
-            if op == "stop":
+            if cmd[0] == "stop":
                 break
-            if op == "segs":
-                req_boxes, rep_boxes = _worker_attach(
-                    shell, attachments, cmd[1])
-                groups = cmd[1]["groups"]
+            if cmd[0] == "segs":
+                phases.boxes = _worker_attach(shell, attachments, cmd[1])
+                phases.groups = cmd[1]["groups"]
                 conn.send("ok")
-            elif op == "req":
-                rnd, n_ids = cmd[1], cmd[2]
-                box = req_boxes[shard]
-                if accel is not None:
-                    conn.send(_request_c(
-                        accel, shell, groups, phase_seed, rnd, shard,
-                        nshards, n_ids, box))
-                else:
-                    messages, failed = _phase_request_py(
-                        shell, phase_seed, rnd, shard, nshards, n_ids)
-                    conn.send(
-                        (_pack_records(box, stride, c, messages), failed))
-            elif op == "dreq":
-                rnd, counts = cmd[1], cmd[2]
-                if accel is not None:
-                    out = _deliver_c(
-                        accel, shell, phase_seed, rnd, True, shard,
-                        nshards, req_boxes, counts, pull,
-                        rep_boxes[shard] if pull else None)
-                    conn.send((int(out[0]), int(out[1]), int(out[2])))
-                else:
-                    messages = _unpack_for_shard(
-                        req_boxes, counts, stride, c, shard, nshards)
-                    completed, failed, replies = _phase_deliver_py(
-                        shell, phase_seed, rnd, True, messages, pull)
-                    n = _pack_records(rep_boxes[shard], stride, c, replies)
-                    conn.send((completed, failed, n))
-            elif op == "drep":
-                rnd, counts = cmd[1], cmd[2]
-                if accel is not None:
-                    _deliver_c(
-                        accel, shell, phase_seed, rnd, False, shard,
-                        nshards, rep_boxes, counts, False, None)
-                else:
-                    messages = _unpack_for_shard(
-                        rep_boxes, counts, stride, c, shard, nshards)
-                    _phase_deliver_py(
-                        shell, phase_seed, rnd, False, messages, False)
-                conn.send("ok")
+            else:
+                conn.send(phases.run(*cmd))
     finally:
         for vec in attachments.values():
             vec.close()
@@ -687,35 +583,30 @@ def _unlink_segments(segments):
 # ---------------------------------------------------------------------------
 
 
+def _dst_src(message):
+    return (message[1], message[0])
+
+
 class ShardedCycleEngine(FlatArrayEngine):
     """Synchronous-rounds executor, optionally sharded across processes.
 
     Registered as engine ``fast-sharded``.  See the module docstring for
     the execution model; operationally:
 
-    - ``shards=None`` (or 1): the rounds run serially in-process, C core
-      when available.  This is the semantic reference the differential
-      suite pins everything else to.
-    - ``shards=K>1``: the flat storage lives in shared memory, K spawned
-      workers execute the phases in lockstep, and the parent only moves
-      counters and barriers.  Results are **identical** to the serial
-      rounds -- the keyed RNG makes every draw placement-independent.
+    - ``shards=None`` (or 1): one shard, in this process.
+    - ``shards=K>1``: with the C core, the flat storage lives in shared
+      memory, K spawned workers run the C phases in lockstep, and the
+      parent only moves counters and barriers.  The rounds the backend
+      rule gives the kernel's Python steps -- every round, without a C
+      core -- run in this process.
     - ``shards=0``: one shard per core (``--workers`` convention).
 
     The engine's ``random.Random`` is consumed only by parent-side
     population operations (bootstrap, churn, trace joins), never by the
     round phases, so ``views()``, counters and digests are a pure
-    function of ``(seed, protocol, scenario)`` -- independent of K and
-    of the backend.
-
-    Which phases run is the kernel's one rule
-    (:meth:`~repro.simulation.arrayviews.FlatArrayEngine._backend`):
-    the C phases, a :class:`~repro.simulation.churn.TemporaryPartition`
-    window handed to all K shards as data; or the kernel's Python steps
-    -- in the workers too, except that a round under a ``reachable``
-    predicate runs serially in the parent, the only process that can
-    call it.  The semantics are identical, so partitions too are
-    K-independent.
+    function of ``(seed, protocol, scenario)`` -- independent of K, of
+    the backend and of the process placement, partition windows
+    included.
     """
 
     family = "sharded"
@@ -749,7 +640,7 @@ class ShardedCycleEngine(FlatArrayEngine):
         # same seed -> same phase_seed, without consuming a single draw.
         digest = hashlib.sha256(repr(self.rng.getstate()).encode()).digest()
         self._phase_seed = int.from_bytes(digest[:8], "little")
-        if self.shards > 1:
+        if self.shards > 1 and self._accel is not None:
             # Storage-backend swap: same kernel, rows now visible to
             # workers.  The population is empty here, so nothing to copy.
             self._vids = ShmVector("q")
@@ -759,35 +650,24 @@ class ShardedCycleEngine(FlatArrayEngine):
             self._alive = ShmVector("B")
             self._buffer = ShmVector.memview
         self._conns: List = []
-        self._procs: List = []
         self._worker_finalizer = None
-        self._req_shm: List[shared_memory.SharedMemory] = []
-        self._rep_shm: List[shared_memory.SharedMemory] = []
+        # (request boxes, reply boxes), one per shard, and their records.
+        self._boxes: Tuple[List, List] = ([], [])
         self._box_finalizer = None
         self._req_records = 0
         self._rep_records = 0
         self._sent_names = None
-        # Serial-path scratch boxes (plain process-local arrays).
-        self._ser_req: Optional[array] = None
-        self._ser_rep: Optional[array] = None
-        self._ser_cap = 0
 
     # -- execution ---------------------------------------------------------
 
     def run_cycle(self) -> None:
         """Execute one synchronous round (see the module docstring)."""
         self._notify_before_cycle()
-        rnd = self.cycle
-        pull = self.config.pull
         _, native = self._backend()
-        groups = native[0] if native is not None else None
-        if native is None and (self.shards == 1 or self.reachable is not None):
-            # the Python steps; a predicate only this process can call
-            completed, failed = self._run_round_serial_py(rnd, pull)
-        elif self.shards > 1:
-            completed, failed = self._run_round_parallel(rnd, pull, groups)
+        if native is None:
+            completed, failed = self._run_round_py(self.cycle)
         else:
-            completed, failed = self._run_round_serial_c(rnd, pull, groups)
+            completed, failed = self._run_round_c(self.cycle, native[0])
         self.completed_exchanges += completed
         self.failed_exchanges += failed
         self.cycle += 1
@@ -798,73 +678,158 @@ class ShardedCycleEngine(FlatArrayEngine):
         for _ in range(cycles):
             self.run_cycle()
 
-    # -- serial rounds (the semantic reference) ----------------------------
+    # -- the kernel's Python steps, in this process ------------------------
 
-    def _run_round_serial_py(self, rnd: int, pull: bool):
-        n_ids = len(self._addr_of)
-        messages, failed0 = _phase_request_py(
-            self, self._phase_seed, rnd, 0, 1, n_ids, self.reachable)
-        completed, failed, replies = _phase_deliver_py(
-            self, self._phase_seed, rnd, True, messages, pull)
+    def _run_round_py(self, rnd: int):
+        messages, cut = self._phase_request_py(rnd)
+        completed, failed, replies = self._phase_deliver_py(
+            rnd, True, messages)
         if replies:
-            _phase_deliver_py(
-                self, self._phase_seed, rnd, False, replies, False)
-        return completed, failed0 + failed
-
-    def _run_round_serial_c(self, rnd: int, pull: bool, groups):
-        accel = self._accel
-        n_ids = len(self._addr_of)
-        c = self.config.view_size
-        stride = 2 * (c + 1) + 3
-        if self._ser_cap < n_ids:
-            self._ser_cap = max(1024, n_ids + n_ids // 4)
-            nbytes = 8 * stride * self._ser_cap
-            self._ser_req = array("q", bytes(nbytes))
-            self._ser_rep = array("q", bytes(nbytes)) if pull else None
-        nreq, cut = _request_c(
-            accel, self, groups, self._phase_seed, rnd, 0, 1, n_ids,
-            self._ser_req)
-        out = _deliver_c(
-            accel, self, self._phase_seed, rnd, True, 0, 1,
-            (self._ser_req,), (nreq,), pull, self._ser_rep if pull else None)
-        completed, failed, nrep = int(out[0]), int(out[1]), int(out[2])
-        if pull and nrep:
-            _deliver_c(
-                accel, self, self._phase_seed, rnd, False, 0, 1,
-                (self._ser_rep,), (nrep,), False, None)
+            self._phase_deliver_py(rnd, False, replies)
         return completed, cut + failed
 
-    # -- parallel rounds ---------------------------------------------------
+    def _phase_request_py(self, rnd: int):
+        """Phase 1: every live node ages, selects and emits a request
+        record ``(src, dst, payload_ids, payload_hops)``.
 
-    def _run_round_parallel(self, rnd: int, pull: bool, groups):
-        self._ensure_workers()
-        self._sync_shared(groups)
+        Returns ``(messages, failed)``; ``failed`` counts the requests a
+        ``reachable`` predicate cut -- dead destinations are counted at
+        delivery.
+        """
+        seed = self._phase_seed
+        alive = self._alive
+        addr_of = self._addr_of
+        reachable = self.reachable
+        failed = 0
+        messages = []
+
+        def draw(n):
+            # the keyed selection draw of the node the loop is at: `i` is
+            # read when `select` calls back, within the same iteration.
+            return _fs_below(_fs_key(seed, _FS_SELECT, rnd, i, 0), 0, n)
+
+        for i in range(len(addr_of)):
+            if not alive[i]:
+                continue
+            p = self.select(i, draw)
+            if p < 0:
+                continue
+            if reachable is not None and not reachable(addr_of[i], addr_of[p]):
+                failed += 1
+                continue
+            messages.append((i, p, *self.payload(i, p, False)))
+        return messages, failed
+
+    def _phase_deliver_py(self, rnd: int, is_request: bool, messages):
+        """Phases 2/3: apply ``messages`` in ``(dst, src)`` order.
+
+        Returns ``(completed, failed, replies)``.  For requests under
+        pull, the reply snapshot is taken *before* the merge, exactly
+        like the passive thread of Figure 1; counters only move on the
+        request phase.
+        """
+        seed = self._phase_seed
+        alive = self._alive
+        purpose = _FS_REQ if is_request else _FS_REP
+        do_reply = is_request and self.config.pull
+        completed = failed = 0
+        replies = []
+        for src, dst, pids, phops in sorted(messages, key=_dst_src):
+            if not alive[dst]:
+                if is_request:
+                    failed += 1
+                continue
+            if do_reply:
+                replies.append((dst, src, *self.payload(dst, src, True)))
+            if pids:
+                key = _fs_key(seed, purpose, rnd, dst, src)
+                self.receive(dst, src, pids, phops, sample=_keyed_sampler(key))
+            if is_request:
+                completed += 1
+        return completed, failed, replies
+
+    # -- the C phases, on K shards -----------------------------------------
+
+    def _run_round_c(self, rnd: int, groups):
+        shards = self._c_shards(groups)
+        counts, cut = zip(*_broadcast(shards, "req", rnd, len(self._addr_of)))
+        completed, failed, replies = zip(
+            *_broadcast(shards, "dreq", rnd, counts))
+        if any(replies):
+            _broadcast(shards, "drep", rnd, replies)
+        return sum(completed), sum(cut) + sum(failed)
+
+    def _c_shards(self, groups):
+        """The shards of this round's C phases, with their boxes and the
+        open partition ``groups``: one in this process for K = 1, the
+        workers otherwise.
+
+        Boxes too small for the population are replaced first.  Any new
+        segment name (new boxes, or a storage vector that moved to a
+        larger segment) or partition is pushed to the workers before the
+        next phase starts; ``groups`` is small next to the rows, so it
+        rides that handshake by value, and only when it changed.
+        """
         n_ids = len(self._addr_of)
-        conns = self._conns
-        for conn in conns:
-            conn.send(("req", rnd, n_ids))
-        counts, cut = zip(*[conn.recv() for conn in conns])
-        for conn in conns:
-            conn.send(("dreq", rnd, counts))
-        completed = 0
-        failed = sum(cut)
-        rep_counts = []
-        for conn in conns:
-            done, lost, nrep = conn.recv()
-            completed += done
-            failed += lost
-            rep_counts.append(nrep)
-        if pull and any(rep_counts):
-            for conn in conns:
-                conn.send(("drep", rnd, rep_counts))
-            for conn in conns:
-                conn.recv()
-        return completed, failed
+        per_shard = -(-n_ids // self.shards)
+        if self._req_records < per_shard or self._rep_records < n_ids:
+            self._new_boxes(per_shard, n_ids)
+        if self.shards == 1:
+            local = _ShardPhases(self, self._accel, 0, 1, self._phase_seed)
+            local.boxes, local.groups = self._boxes, groups
+            return (local,)
+        self._ensure_workers()
+        req, rep = self._boxes
+        names = {
+            "vids": self._vids.name,
+            "vhops": self._vhops.name,
+            "vlen": self._vlen.name,
+            "row_of": self._row_of.name,
+            "alive": self._alive.name,
+            "req": tuple(shm.name for shm in req),
+            "rep": tuple(shm.name for shm in rep),
+            "groups": groups,
+        }
+        if names != self._sent_names:
+            _broadcast(self._conns, "segs", names)
+            self._sent_names = names
+        return self._conns
+
+    def _new_boxes(self, per_shard: int, n_ids: int) -> None:
+        """Replace the message boxes, sized for the worst case -- every
+        node sends one request, and all of them could target one shard --
+        so no phase can overflow them: process-local for K = 1, shared
+        segments otherwise; reply boxes only under pull."""
+        self._drop_boxes()
+        k = self.shards
+        record = 8 * (2 * (self.config.view_size + 1) + 3)
+        self._req_records = max(256, per_shard + per_shard // 4)
+        self._rep_records = max(256, n_ids + n_ids // 4)
+        sizes = [record * self._req_records] * k
+        if self.config.pull:
+            sizes += [record * self._rep_records] * k
+        if k == 1:
+            boxes = [array("q", bytes(size)) for size in sizes]
+        else:
+            boxes = [
+                shared_memory.SharedMemory(create=True, size=size)
+                for size in sizes
+            ]
+            self._box_finalizer = weakref.finalize(
+                self, _unlink_segments, boxes)
+        self._boxes = (boxes[:k], boxes[k:])
+
+    def _drop_boxes(self) -> None:
+        if self._box_finalizer is not None:
+            self._box_finalizer()
+            self._box_finalizer = None
+        self._boxes = ([], [])
+        self._req_records = 0
+        self._rep_records = 0
 
     def _ensure_workers(self) -> None:
         if self._conns:
             return
-        use_accel = self._accel is not None
         ctx = multiprocessing.get_context("spawn")
         conns, procs = [], []
         for k in range(self.shards):
@@ -872,8 +837,7 @@ class ShardedCycleEngine(FlatArrayEngine):
             proc = ctx.Process(
                 target=_worker_main,
                 args=(k, self.shards, child_conn, self.config,
-                      self._phase_seed, self.omniscient_peer_selection,
-                      use_accel),
+                      self._phase_seed, self.omniscient_peer_selection),
                 daemon=True,
             )
             proc.start()
@@ -881,61 +845,8 @@ class ShardedCycleEngine(FlatArrayEngine):
             conns.append(parent_conn)
             procs.append(proc)
         self._conns = conns
-        self._procs = procs
         self._worker_finalizer = weakref.finalize(
             self, _shutdown_workers, conns, procs)
-
-    def _sync_shared(self, groups) -> None:
-        """Barrier bookkeeping: box capacity, worker attachments and the
-        open partition (``groups``: small next to the rows, so it rides
-        the handshake by value and only when it changed).
-
-        Message boxes are sized for the worst case -- every node sends
-        one request, and all of them could target one shard -- so no
-        phase can overflow them.  Growth (population grew, or a storage
-        vector moved to a larger segment and changed names) is detected
-        here and pushed to the workers before the next phase starts.
-        """
-        n_ids = len(self._addr_of)
-        nshards = self.shards
-        c = self.config.view_size
-        stride = 2 * (c + 1) + 3
-        per_shard = (n_ids + nshards - 1) // nshards
-        if self._req_records < per_shard or self._rep_records < n_ids:
-            if self._box_finalizer is not None:
-                self._box_finalizer.detach()
-                self._box_finalizer = None
-            _unlink_segments(self._req_shm + self._rep_shm)
-            self._req_records = max(256, per_shard + per_shard // 4)
-            self._rep_records = max(256, n_ids + n_ids // 4)
-            self._req_shm = [
-                shared_memory.SharedMemory(
-                    create=True, size=8 * stride * self._req_records)
-                for _ in range(nshards)
-            ]
-            self._rep_shm = [
-                shared_memory.SharedMemory(
-                    create=True, size=8 * stride * self._rep_records)
-                for _ in range(nshards)
-            ]
-            self._box_finalizer = weakref.finalize(
-                self, _unlink_segments, self._req_shm + self._rep_shm)
-        names = {
-            "vids": self._vids.name,
-            "vhops": self._vhops.name,
-            "vlen": self._vlen.name,
-            "row_of": self._row_of.name,
-            "alive": self._alive.name,
-            "req": tuple(shm.name for shm in self._req_shm),
-            "rep": tuple(shm.name for shm in self._rep_shm),
-            "groups": groups,
-        }
-        if names != self._sent_names:
-            for conn in self._conns:
-                conn.send(("segs", names))
-            for conn in self._conns:
-                conn.recv()
-            self._sent_names = names
 
     def close(self) -> None:
         """Stop the shard workers and release the message boxes.
@@ -948,12 +859,5 @@ class ShardedCycleEngine(FlatArrayEngine):
             self._worker_finalizer()
             self._worker_finalizer = None
         self._conns = []
-        self._procs = []
-        if self._box_finalizer is not None:
-            self._box_finalizer()
-            self._box_finalizer = None
-        self._req_shm = []
-        self._rep_shm = []
-        self._req_records = 0
-        self._rep_records = 0
+        self._drop_boxes()
         self._sent_names = None

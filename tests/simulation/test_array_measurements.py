@@ -39,7 +39,12 @@ SEED = 99
 CONFIG = ProtocolConfig.from_label("(rand,head,pushpull)", VIEW_SIZE)
 
 HAVE_ACCEL = load_accelerator() is not None
-BACKENDS = [False] + ([True] if HAVE_ACCEL else [])
+BACKENDS = [
+    False,
+    pytest.param(
+        True, marks=pytest.mark.skipif(not HAVE_ACCEL, reason="no C compiler")
+    ),
+]
 
 ENGINE_GRID = [
     ("cycle", {}),
@@ -179,15 +184,16 @@ def test_read_interface_matches_views_walk_under_churn(
         close(engine)
 
 
+@pytest.mark.parametrize("accelerate", BACKENDS)
 @pytest.mark.parametrize(
     "name,kwargs",
     [entry for entry in ENGINE_GRID if entry[0] != "cycle"],
 )
-def test_no_storage_view_outlives_a_measurement(name, kwargs):
-    """A numpy view pins its ``array('q')`` / shared-memory segment; a
-    leaked one would make the next growing ``add_node`` raise
-    ``BufferError``."""
-    engine = build(name, kwargs, accelerate=False)
+def test_no_storage_view_outlives_a_measurement(name, kwargs, accelerate):
+    """A numpy view pins its ``array('q')`` / shared-memory segment (the
+    sharded K = 2 leg with the C core); a leaked one would make the next
+    growing ``add_node`` raise ``BufferError``."""
+    engine = build(name, kwargs, accelerate)
     try:
         random_bootstrap(engine, N_NODES)
         engine.run(1)

@@ -5,14 +5,16 @@ see the ``sharded`` module docstring), so it is not compared against
 ``CycleEngine``.  Its contract is *K-invariance*: for a fixed seed the
 results -- views, hop counts, exchange counters -- are byte-identical
 for every shard count, every backend (pure Python and C), and every
-process placement (in-process serial vs shared-memory workers).  These
-tests pin that contract across a protocol grid, under churn, in
+process placement (in-process vs the C phases in shared-memory workers).
+These tests pin that contract across a protocol grid, under churn, in
 non-omniscient mode, and across independent OS processes.
 """
 
 import hashlib
+import multiprocessing.process
 import subprocess
 import sys
+from multiprocessing import shared_memory
 
 import pytest
 
@@ -35,7 +37,12 @@ SEED = 4242
 
 HAVE_ACCEL = load_accelerator() is not None
 
-BACKENDS = [False] + ([True] if HAVE_ACCEL else [])
+BACKENDS = [
+    False,
+    pytest.param(
+        True, marks=pytest.mark.skipif(not HAVE_ACCEL, reason="no C compiler")
+    ),
+]
 
 LABELS = [
     ("(rand,rand,pushpull)", 0, 0),
@@ -151,7 +158,8 @@ class TestBackendEquivalence:
 
 
 class TestEdgeModes:
-    def test_non_omniscient_matches_across_shards(self):
+    @pytest.mark.parametrize("accelerate", BACKENDS)
+    def test_non_omniscient_matches_across_shards(self, accelerate):
         config = grid_config("(rand,head,push)", 0, 0)
         results = [
             run_scenario(
@@ -159,7 +167,7 @@ class TestEdgeModes:
                     config,
                     seed=3,
                     omniscient_peer_selection=False,
-                    accelerate=False,
+                    accelerate=accelerate,
                     shards=shards,
                 )
             )
@@ -169,7 +177,7 @@ class TestEdgeModes:
         assert results[0]["failed"] > 0  # churn phase exercises dead peers
 
     def test_reachability_predicate_matches_across_shards(self):
-        # An arbitrary callable falls back to the in-parent serial phases;
+        # An arbitrary callable takes the Python steps, in this process;
         # results must still be independent of the configured shard count.
         config = grid_config("(rand,head,pushpull)", 0, 0)
         results = []
@@ -210,11 +218,9 @@ class WindowChurn(Observer):
 
 
 def run_partition_window(engine):
-    serial_py_rounds = []
-    serial_py = engine._run_round_serial_py
-    engine._run_round_serial_py = lambda rnd, pull: (
-        serial_py_rounds.append(rnd) or serial_py(rnd, pull)
-    )
+    py_rounds = []
+    round_py = engine._run_round_py
+    engine._run_round_py = lambda rnd: py_rounds.append(rnd) or round_py(rnd)
     probe = WindowChurn()
     engine.add_observer(TemporaryPartition(start_cycle=3, end_cycle=8))
     engine.add_observer(probe)
@@ -229,7 +235,7 @@ def run_partition_window(engine):
         )
     finally:
         engine.close()
-    return result, probe.native, serial_py_rounds
+    return result, probe.native, py_rounds
 
 
 @pytest.mark.parametrize(
@@ -239,30 +245,64 @@ def test_temporary_partition_window(label):
     # A TemporaryPartition is data to the C phases: the window -- with
     # crashes and unconstrained joiners inside it -- and the rounds
     # after the heal stay in C and on K shards, byte-identical to the
-    # family reference (the serial Python rounds calling the predicate).
+    # family reference (the Python rounds calling the predicate).
     config = grid_config(label, 0, 0)
-    reference, native, serial_py_rounds = run_partition_window(
+    reference, native, py_rounds = run_partition_window(
         ShardedCycleEngine(config, seed=SEED, accelerate=False, shards=1)
     )
     assert reference[2] > 0  # the partition genuinely dropped traffic
     assert not any(native.values())
-    assert serial_py_rounds == list(range(12))
+    assert py_rounds == list(range(12))
     for shards in (1, 2, 3) if HAVE_ACCEL else ():
-        result, native, serial_py_rounds = run_partition_window(
+        result, native, py_rounds = run_partition_window(
             ShardedCycleEngine(
                 config, seed=SEED, accelerate=True, shards=shards
             )
         )
         assert result == reference
         assert native == dict.fromkeys(range(12), True)
-        assert serial_py_rounds == []
-    # without a C core the window runs serially in the parent, the rest
-    # in the Python workers: still the same overlay
-    result, _, serial_py_rounds = run_partition_window(
+        assert py_rounds == []
+    # without a C core every round, window or not, runs the Python steps
+    # in this process: still the same overlay
+    result, _, py_rounds = run_partition_window(
         ShardedCycleEngine(config, seed=SEED, accelerate=False, shards=2)
     )
     assert result == reference
-    assert serial_py_rounds == list(range(3, 8))
+    assert py_rounds == list(range(12))
+
+
+def test_without_c_core_shards_run_in_process(monkeypatch):
+    # Workers only ever run the C phases: without a C core, K > 1 spawns
+    # no process and maps no shared memory, with the K = 1 results.
+    started, segments = [], []
+    start = multiprocessing.process.BaseProcess.start
+    monkeypatch.setattr(
+        multiprocessing.process.BaseProcess,
+        "start",
+        lambda proc: started.append(proc) or start(proc),
+    )
+    create = shared_memory.SharedMemory.__init__
+    monkeypatch.setattr(
+        shared_memory.SharedMemory,
+        "__init__",
+        lambda shm, *args, **kwargs: (
+            segments.append(kwargs) or create(shm, *args, **kwargs)
+        ),
+    )
+    config = grid_config("(rand,rand,pushpull)", 1, 1)
+    digests = [
+        result_digest(
+            run_scenario(
+                ShardedCycleEngine(
+                    config, seed=SEED, accelerate=False, shards=shards
+                )
+            )
+        )
+        for shards in (1, 2)
+    ]
+    assert digests[0] == digests[1]
+    assert started == []
+    assert segments == []
 
 
 _SUBPROCESS_SCRIPT = """
@@ -273,13 +313,16 @@ from test_sharded_differential import (
     ShardedCycleEngine, grid_config, result_digest, run_scenario,
 )
 config = grid_config("(rand,rand,pushpull)", 1, 1)
-engine = ShardedCycleEngine(config, seed=99, accelerate=False, shards=2)
+engine = ShardedCycleEngine(
+    config, seed=99, accelerate={accelerate!r}, shards=2
+)
 print(result_digest(run_scenario(engine)))
 """
 
 
 class TestCrossProcessDeterminism:
-    def test_same_seed_same_digest_in_fresh_process(self, tmp_path):
+    @pytest.mark.parametrize("accelerate", BACKENDS)
+    def test_same_seed_same_digest_in_fresh_process(self, accelerate):
         import repro
         import pathlib
 
@@ -289,12 +332,15 @@ class TestCrossProcessDeterminism:
         local = result_digest(
             run_scenario(
                 ShardedCycleEngine(
-                    config, seed=99, accelerate=False, shards=2
+                    config, seed=99, accelerate=accelerate, shards=2
                 )
             )
         )
+        script = _SUBPROCESS_SCRIPT.format(
+            src=src, tests=tests, accelerate=accelerate
+        )
         proc = subprocess.run(
-            [sys.executable, "-c", _SUBPROCESS_SCRIPT.format(src=src, tests=tests)],
+            [sys.executable, "-c", script],
             capture_output=True,
             text=True,
             timeout=300,
