@@ -121,11 +121,6 @@ class Scale:
     by ``tests/workloads/test_parallel.py``), so the choice only affects
     wall clock, never numbers."""
 
-    @property
-    def growth_rate(self) -> int:
-        """Joins per cycle in the growing scenario."""
-        return max(1, -(-self.n_nodes // self.growth_cycles))  # ceil division
-
     def validate(self) -> "Scale":
         """Eagerly check field types and ranges; returns ``self``.
 

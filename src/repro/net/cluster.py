@@ -260,8 +260,11 @@ class LocalCluster:
         against the live cluster, one lockstep round per gossip cycle.
 
         The cluster analogue of
-        :func:`repro.workloads.runtime.compile_scenario`: ``grow``
-        batches call :meth:`spawn`, ``catastrophic-failure`` crashes the
+        :func:`repro.workloads.runtime.compile_scenario`: ``grow`` boots
+        one node as the oldest and spawns its joiners with that node as
+        their only contact (as
+        :class:`~repro.simulation.scenarios.GrowingScenario` does),
+        ``catastrophic-failure`` crashes the
         configured fraction, ``continuous-churn`` spawns/crashes at every
         round start, and ``churn-trace`` timelines are generated with the
         same :func:`~repro.workloads.runtime.generate_trace` the
@@ -342,8 +345,14 @@ class LocalCluster:
         fired = set()
         totals = {"joined": 0, "crashed": 0}
         trace_pos = 0
+        oldest: Dict[int, Address] = {}
         for cycle in range(total):
-            for event in grows:
+            for index, event in enumerate(grows):
+                # GrowingScenario's rule: the event boots one node as the
+                # oldest, and every joiner's only contact is that node.
+                if index not in oldest:
+                    oldest[index] = await self.spawn(contacts=())
+                    totals["joined"] += 1
                 missing = event.target - len(self)
                 if missing > 0:
                     per_cycle = (
@@ -352,7 +361,7 @@ class LocalCluster:
                         else max(1, event.target // 100)
                     )
                     for _ in range(min(per_cycle, missing)):
-                        await self.spawn()
+                        await self.spawn(contacts=[oldest[index]])
                         totals["joined"] += 1
             for index, event in enumerate(failures):
                 if index not in fired and cycle >= event.at_cycle:

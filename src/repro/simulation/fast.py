@@ -53,8 +53,8 @@ for the duration of a cycle and handing it back afterwards (see
 ``_fastcore``).  Given the same seed and call sequence, ``views()`` is
 therefore *byte-identical* across ``CycleEngine`` and both
 ``FastCycleEngine`` backends, cycle by cycle, including under churn --
-the differential suite in
-``tests/simulation/test_fast_engine_differential.py`` pins this.
+the engine conformance suite in ``tests/simulation/test_conformance.py``
+pins this.
 
 When to prefer which engine
 ---------------------------

@@ -39,8 +39,8 @@ inside the kernel) and orders events exactly like the float scheduler up
 to tick quantization: the tick map is monotone, and at the default
 resolution of 2^40 ticks per period two distinct float event times
 practically never collide into one tick.  For matched seeds the overlays
-are therefore *byte-identical* to ``EventEngine``'s, which
-``tests/simulation/test_fast_event_differential.py`` pins across
+are therefore *byte-identical* to ``EventEngine``'s, which the engine
+conformance suite (``tests/simulation/test_conformance.py``) pins across
 protocols, latency/loss models and churn.
 
 Execution backends

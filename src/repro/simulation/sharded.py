@@ -67,7 +67,7 @@ is the only branch of :meth:`ShardedCycleEngine.run_cycle`:
   :class:`~repro.simulation.churn.TemporaryPartition` window reaches all
   K shards as data.  Workers only ever run C.
 
-The differential suite pins ``K in {1, 2, 4}``, both backends and the
+The conformance suite pins ``K in {1, 2, 3}``, both backends and the
 multi-process path to one another.
 
 Shared-memory discipline

@@ -42,7 +42,7 @@ Quickstart::
 
 Every artefact module (``repro.experiments.table1`` ... ``figure7``)
 builds its runs through this API; the cross-engine byte-identity of a
-spec execution is pinned by ``tests/workloads/test_cross_engine.py``.
+spec execution is pinned by ``tests/simulation/test_conformance.py``.
 """
 
 from repro.core.errors import PlanExecutionError

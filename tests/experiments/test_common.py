@@ -20,7 +20,13 @@ from repro.simulation.engine import CycleEngine
 from repro.simulation.event_engine import EventEngine
 from repro.simulation.fast import FastCycleEngine
 from repro.simulation.fast_event import FastEventEngine
-from repro.workloads import named_scenario, prepare_run
+from repro.workloads import Grow, named_scenario, prepare_run
+from repro.workloads.runtime import _resolve_growth
+
+
+def growth_rate(scale):
+    """Joins per cycle the growing scenario runs at on ``scale``."""
+    return _resolve_growth(Grow(), scale.n_nodes, scale).nodes_per_cycle
 
 
 def converged(config, scale, seed, engine=None):
@@ -43,13 +49,13 @@ class TestScales:
         assert full.cycles == 300
         assert full.runs == 100
         assert full.traced_nodes == 50
-        assert full.growth_rate == 100
+        assert growth_rate(full) == 100
 
     def test_growth_rate_overflows_view_size(self):
         # The paper's critical proportion: join rate > view size, so the
         # contact node's view overflows during growth (see Table 1).
         for scale in SCALES.values():
-            assert scale.growth_rate > scale.view_size
+            assert growth_rate(scale) > scale.view_size
 
     def test_current_scale_explicit_name(self):
         assert current_scale("full").name == "full"

@@ -1,13 +1,11 @@
-"""One service code path, every engine: identity and scale.
+"""The services on the flat-array engine at N = 10^4.
 
-The tentpole claim of :mod:`repro.services` is that the services consume
-only ``get_peer()``, so the substrate is swappable.  These tests pin the
-two halves of that claim on the simulation side:
-
-- ``cycle`` and ``fast`` produce *identical* service results for a seed
-  (they are byte-identical engines, and the services add no
-  nondeterminism of their own);
-- the flat-array engine carries the same services to N = 10^4 nodes.
+The services consume only ``get_peer()``, so the substrate is
+swappable: that every engine of a family serves the same ``get_peer()``
+draws for a seed is pinned by the conformance suite
+(``tests/simulation/test_conformance.py``); this module pins the other
+half of the claim -- the same service classes carry a 10^4-node
+flat-array overlay.
 """
 
 import random
@@ -17,69 +15,24 @@ import pytest
 from repro.core.config import newscast
 from repro.services import (
     AntiEntropyBroadcast,
-    GossipFrequentItems,
     PushPullAveraging,
     RandomWalkSearch,
     sampling_services,
     scatter_key,
 )
-from repro.simulation.engine import CycleEngine
 from repro.simulation.fast import FastCycleEngine
 from repro.simulation.scenarios import random_bootstrap
-
-
-def converged_services(engine_cls, n_nodes=300, cycles=20, seed=5):
-    engine = engine_cls(newscast(view_size=12), seed=seed)
-    random_bootstrap(engine, n_nodes=n_nodes)
-    engine.run(cycles)
-    return sampling_services(engine)
-
-
-def service_results(services):
-    addresses = sorted(services)
-    streams = {
-        a: ["hot"] * (1 + a % 3) + [f"local-{a}"] * 3 for a in addresses
-    }
-    return {
-        "broadcast": AntiEntropyBroadcast(services, fanout=2).run(),
-        "averaging": PushPullAveraging(
-            services, rounds=10, rng=random.Random(1)
-        ).run(),
-        "search": RandomWalkSearch(
-            services,
-            scatter_key(addresses, 6, random.Random(2)),
-            ttl=64,
-            rng=random.Random(3),
-        ).run(queries=32),
-        "sketch": GossipFrequentItems(
-            services, streams, capacity=4, rounds=5, rng=random.Random(4)
-        ).run(),
-    }
-
-
-class TestCycleFastIdentity:
-    def test_every_service_result_is_identical(self):
-        cycle = service_results(converged_services(CycleEngine))
-        fast = service_results(converged_services(FastCycleEngine))
-        assert sorted(cycle) == sorted(fast)
-        for name in cycle:
-            assert cycle[name] == fast[name], name
-
-    def test_results_are_reproducible_per_seed(self):
-        first = service_results(converged_services(CycleEngine))
-        second = service_results(converged_services(CycleEngine))
-        assert first == second
 
 
 class TestLargeScaleFastEngine:
     @pytest.fixture(scope="class")
     def services(self):
-        # The ISSUE's scale pin: the same service classes on a 10^4-node
-        # flat-array overlay.  A few cycles is enough structure for the
-        # epidemic processes to work with.
-        return converged_services(
-            FastCycleEngine, n_nodes=10_000, cycles=5, seed=9
-        )
+        # A few cycles is enough structure for the epidemic processes
+        # to work with.
+        engine = FastCycleEngine(newscast(view_size=12), seed=9)
+        random_bootstrap(engine, n_nodes=10_000)
+        engine.run(5)
+        return sampling_services(engine)
 
     def test_broadcast_covers_ten_thousand_nodes(self, services):
         result = AntiEntropyBroadcast(services, fanout=3).run()
