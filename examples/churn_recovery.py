@@ -11,7 +11,9 @@ The whole workload is *one declarative spec* (converge, crash 50%, heal)
 executed through :mod:`repro.workloads`: :func:`prepare_run` builds the
 generic protocols through the engine registry, and
 :func:`compile_scenario` binds the very same spec onto the Cyclon
-extension engine -- one workload description, every executor.
+extension engine -- one workload description, every executor.  The dead
+links come from the measurement vocabulary (``dead-links-initial`` and
+``dead-links-healing``, as the Figure 7 artefact records them).
 
 Run with::
 
@@ -25,12 +27,11 @@ from repro.extensions.cyclon import CyclonConfig, cyclon_engine
 from repro.extensions.second_view import CombinedOverlay
 from repro.graph.components import is_connected
 from repro.graph.snapshot import GraphSnapshot
-from repro.simulation.trace import DeadLinkCensus
 from repro.workloads import (
     CatastrophicFailure,
-    FailureHandle,
     ScenarioSpec,
     compile_scenario,
+    measure,
     prepare_run,
 )
 
@@ -49,16 +50,13 @@ HEALING_SPEC = ScenarioSpec(
 
 def heal_curve(runtime):
     """Run the compiled scenario; returns (initial, per-cycle series)."""
-    census = DeadLinkCensus(every=1)
-    runtime.add_observer(census)
+    extract = measure(runtime, ("dead-links-initial", "dead-links-healing"))
     runtime.run_to_end()
-    series = [
-        dead
-        for cycle, dead in zip(census.cycles, census.dead_links)
-        if cycle > CONVERGE_CYCLES
-    ]
-    initial = runtime.handle(FailureHandle).dead_links_after
-    return initial, series
+    results = extract()
+    return (
+        results["dead-links-initial"],
+        results["dead-links-healing"]["dead_links"],
+    )
 
 
 def main() -> None:

@@ -12,11 +12,7 @@ import random
 from typing import Dict, Optional, Tuple
 
 from repro.graph.generators import random_view_topology
-from repro.graph.metrics import (
-    average_degree,
-    average_path_length,
-    clustering_coefficient,
-)
+from repro.graph.metrics import topology_metrics
 
 _cache: Dict[Tuple[int, int, int], Dict[str, float]] = {}
 
@@ -30,9 +26,9 @@ def random_baseline_metrics(
 ) -> Dict[str, float]:
     """Average degree, clustering and path length of the random baseline.
 
-    Parameters mirror the measurement settings of
-    :class:`~repro.simulation.trace.MetricsRecorder`, so baseline and
-    overlay numbers are directly comparable.
+    Parameters mirror the ``metrics`` measurement's settings, and both
+    go through :func:`~repro.graph.metrics.topology_metrics`, so baseline
+    and overlay numbers are directly comparable.
 
     Returns a dict with keys ``average_degree``, ``clustering`` and
     ``average_path_length``.
@@ -42,16 +38,12 @@ def random_baseline_metrics(
     if cached is not None:
         return dict(cached)
     rng = random.Random(seed)
-    snapshot = random_view_topology(n, c, rng)
-    metrics = {
-        "average_degree": average_degree(snapshot),
-        "clustering": clustering_coefficient(
-            snapshot, sample=clustering_sample, rng=rng
-        ),
-        "average_path_length": average_path_length(
-            snapshot, n_sources=path_sources, rng=rng
-        ),
-    }
+    metrics = topology_metrics(
+        random_view_topology(n, c, rng),
+        clustering_sample=clustering_sample,
+        path_sources=path_sources,
+        rng=rng,
+    )
     _cache[key] = dict(metrics)
     return metrics
 

@@ -27,8 +27,7 @@ from repro.experiments.common import (
     growing_plot_protocols,
 )
 from repro.experiments.reporting import format_series
-from repro.simulation.trace import MetricsRecorder
-from repro.workloads import named_scenario, prepare_run
+from repro.workloads import ExperimentPlan, run_plans
 
 
 @dataclasses.dataclass(frozen=True)
@@ -52,39 +51,36 @@ class Figure2Result:
     growth_end_cycle: int
 
 
-def _run_one(config, scale: Scale, seed: int) -> MetricSeries:
-    runtime = prepare_run(
-        named_scenario("growing-overlay", scale),
-        config,
-        scale=scale,
-        seed=seed,
-    )
-    recorder = MetricsRecorder(
-        every=scale.metrics_every,
-        clustering_sample=scale.clustering_sample,
-        path_sources=scale.path_sources,
-        record_initial=False,
-    )
-    runtime.add_observer(recorder)
-    runtime.run_to_end()
+def _series(record) -> MetricSeries:
+    metrics = record.measurements["metrics"]
     return MetricSeries(
-        label=config.label,
-        cycles=recorder.cycles,
-        clustering=recorder.clustering,
-        average_degree=recorder.average_degree,
-        average_path_length=recorder.average_path_length,
+        label=record.protocol,
+        cycles=metrics["cycles"],
+        clustering=metrics["clustering"],
+        average_degree=metrics["average_degree"],
+        average_path_length=metrics["average_path_length"],
     )
 
 
 def run(scale: Optional[Scale] = None, seed: int = 0) -> Figure2Result:
     """Reproduce Figure 2 at the given scale (single run per protocol,
-    as in the paper)."""
+    as in the paper): one single-cell plan per protocol, with
+    per-protocol seeds, executed through one shared pool."""
     if scale is None:
         scale = current_scale()
-    series = [
-        _run_one(config, scale, seed * 7_919 + index)
+    plans = [
+        ExperimentPlan(
+            name=f"figure2 {config.label}",
+            scenario="growing-overlay",
+            protocols=(config.label,),
+            scales=(scale,),
+            engines=(None,),
+            seeds=(seed * 7_919 + index,),
+            measurements=("metrics",),
+        )
         for index, config in enumerate(growing_plot_protocols(scale.view_size))
     ]
+    series = [_series(result.records[0]) for result in run_plans(plans)]
     baseline = random_baseline_metrics(
         scale.n_nodes,
         scale.view_size,

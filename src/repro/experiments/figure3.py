@@ -28,8 +28,8 @@ from repro.experiments.common import (
 )
 from repro.experiments.figure2 import MetricSeries
 from repro.experiments.reporting import format_series
-from repro.simulation.trace import MetricsRecorder
-from repro.workloads import ScenarioSpec, prepare_run
+from repro.workloads import ScenarioSpec, measure, prepare_run
+from repro.workloads.measure import read_now
 
 SCENARIOS = ("lattice", "random")
 """The two initializations of Figure 3 (spec bootstrap kinds)."""
@@ -55,20 +55,21 @@ def _run_one(config, scenario: str, scale: Scale, seed: int) -> MetricSeries:
         # interesting transient); we mirror that 1/3 proportion.
         cycles=max(scale.cycles // 3, 3 * scale.metrics_every),
     )
-    recorder = MetricsRecorder(
-        every=scale.metrics_every,
-        clustering_sample=scale.clustering_sample,
-        path_sources=scale.path_sources,
-        record_initial=True,
+    # The series opens with the bootstrap overlay as its cycle-0 row (the
+    # spec has no events, so nothing else runs first).  The event family
+    # first calls its observers at the cycle-1 boundary, so its series
+    # starts at the first sampled cycle.
+    initial = (
+        read_now(runtime, "metrics", scale)
+        if runtime.engine.family != "event"
+        else {}
     )
-    runtime.add_observer(recorder)
+    extract = measure(runtime, ("metrics",), scale)
     runtime.run_to_end()
+    metrics = extract()["metrics"]
     return MetricSeries(
         label=config.label,
-        cycles=recorder.cycles,
-        clustering=recorder.clustering,
-        average_degree=recorder.average_degree,
-        average_path_length=recorder.average_path_length,
+        **{key: initial.get(key, []) + metrics[key] for key in metrics},
     )
 
 

@@ -31,9 +31,12 @@ from repro.experiments.common import (
     current_scale,
 )
 from repro.experiments.reporting import format_series
-from repro.simulation.trace import DegreeTracer
-from repro.stats.autocorrelation import autocorrelation, confidence_band
-from repro.workloads import named_scenario, prepare_run
+from repro.stats.autocorrelation import (
+    autocorrelation,
+    confidence_band,
+    fraction_outside_band,
+)
+from repro.workloads import ExperimentPlan, run_plans
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,20 +54,10 @@ class Figure5Result:
     """Protocol label -> fraction of lags outside the band."""
 
 
-def _run_one(config, scale: Scale, max_lag: int, seed: int) -> np.ndarray:
-    runtime = prepare_run(
-        named_scenario("random-convergence", scale),
-        config,
-        scale=scale,
-        seed=seed,
-    )
-    tracer = DegreeTracer(
-        runtime.bootstrap_addresses[: scale.traced_nodes]
-    )
-    runtime.add_observer(tracer)
-    runtime.run_to_end()
+def _mean_curve(record, max_lag: int) -> np.ndarray:
     curves = [
-        autocorrelation(series, max_lag) for series in tracer.matrix()
+        autocorrelation(series, max_lag)
+        for series in record.measurements["degree-trace"]["series"]
     ]
     return np.mean(np.stack(curves), axis=0)
 
@@ -73,19 +66,34 @@ def run(scale: Optional[Scale] = None, seed: int = 0) -> Figure5Result:
     """Reproduce Figure 5 at the given scale.
 
     ``max_lag`` follows the paper's 140-of-300 proportion, bounded by half
-    the scaled cycle count.
+    the scaled cycle count.  One single-cell plan per protocol, with
+    per-protocol seeds, executed through one shared pool.
     """
     if scale is None:
         scale = current_scale()
     max_lag = min(140, scale.cycles // 2)
     band = confidence_band(scale.cycles, level=0.99)
+    plans = [
+        ExperimentPlan(
+            name=f"figure5 {config.label}",
+            scenario="random-convergence",
+            protocols=(config.label,),
+            scales=(scale,),
+            engines=(None,),
+            seeds=(seed * 49_999 + index,),
+            measurements=("degree-trace",),
+        )
+        for index, config in enumerate(
+            autocorrelation_protocols(scale.view_size)
+        )
+    ]
     curves: Dict[str, List[float]] = {}
     outside: Dict[str, float] = {}
-    for index, config in enumerate(autocorrelation_protocols(scale.view_size)):
-        curve = _run_one(config, scale, max_lag, seed * 49_999 + index)
-        curves[config.label] = curve.tolist()
-        tail = np.abs(curve[1:])
-        outside[config.label] = float((tail > band).mean())
+    for result in run_plans(plans):
+        record = result.records[0]
+        curve = _mean_curve(record, max_lag)
+        curves[record.protocol] = curve.tolist()
+        outside[record.protocol] = fraction_outside_band(curve, band)
     return Figure5Result(
         scale=scale,
         max_lag=max_lag,

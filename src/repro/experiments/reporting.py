@@ -7,7 +7,7 @@ artefact prints its rows in one shape.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 
 def format_value(value: object, precision: int = 2) -> str:
@@ -78,53 +78,3 @@ def format_series(
             row.append(values[i] if i < len(values) else None)
         rows.append(row)
     return format_table(headers, rows, precision=precision, title=title)
-
-
-def write_csv(
-    path: str,
-    headers: Sequence[str],
-    rows: Iterable[Sequence[object]],
-) -> None:
-    """Write rows as CSV (floats unrounded) for downstream plotting.
-
-    The experiment CLI's ``--csv-dir`` option routes every report's data
-    through here so the paper's figures can be regenerated with any
-    plotting tool.
-    """
-    import csv
-
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(list(headers))
-        for row in rows:
-            writer.writerow(["" if cell is None else cell for cell in row])
-
-
-def series_rows(
-    x_values: Sequence[object],
-    columns: Sequence[tuple],
-) -> list:
-    """Series data as plain rows (x followed by each column's value)."""
-    rows = []
-    for i, x in enumerate(x_values):
-        row: List[object] = [x]
-        for _, values in columns:
-            row.append(values[i] if i < len(values) else None)
-        rows.append(row)
-    return rows
-
-
-def format_loglog_histogram(
-    pairs: Sequence[tuple],
-    title: Optional[str] = None,
-    max_rows: int = 20,
-) -> str:
-    """Render (value, count) pairs as the log-log points of Figure 4."""
-    return format_series(
-        "degree",
-        [p[0] for p in pairs],
-        [("count", [p[1] for p in pairs])],
-        precision=0,
-        title=title,
-        max_rows=max_rows,
-    )

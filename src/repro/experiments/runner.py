@@ -34,11 +34,11 @@ the machine-readable records (final-overlay digests plus measurement
 series) as JSON.
 
 Multi-cell plans (``run-spec``, and the plan-driven artefacts table1 /
-table2 / figure7) execute on ``--workers N`` processes (``0`` = one per
-core; also ``$REPRO_WORKERS``); the ``full`` scale preset parallelizes
-automatically.  Parallel execution is byte-identical to serial -- same
-records, ordering and overlay digests -- pinned by
-``tests/workloads/test_parallel.py``.
+table2 / figure2 / figure5 / figure7) execute on ``--workers N``
+processes (``0`` = one per core; also ``$REPRO_WORKERS``); the ``full``
+scale preset parallelizes automatically.  Parallel execution is
+byte-identical to serial -- same records, ordering and overlay digests
+-- pinned by ``tests/workloads/test_parallel.py``.
 """
 
 from __future__ import annotations

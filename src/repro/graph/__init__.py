@@ -8,12 +8,11 @@ holds a descriptor of node ``b``.  All reported metrics are computed on the
 - :class:`~repro.graph.snapshot.GraphSnapshot` -- a compact CSR
   representation of the undirected topology at one instant;
 - :mod:`repro.graph.metrics` -- degree statistics, clustering coefficient,
-  average path length;
+  average path length, and the Figure 2/3 triple of the three
+  (:func:`~repro.graph.metrics.topology_metrics`);
 - :mod:`repro.graph.components` -- connectivity and cluster analysis;
 - :mod:`repro.graph.generators` -- reference topologies (uniform random
-  views, ring lattice, star, Erdos-Renyi);
-- :mod:`repro.graph.smallworld` -- small-world indices comparing measured
-  topologies against same-size random graphs.
+  views, ring lattice, star, Erdos-Renyi).
 """
 
 from repro.graph.components import (

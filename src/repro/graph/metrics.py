@@ -19,7 +19,7 @@ paths against networkx.
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -203,62 +203,30 @@ def average_path_length(
     return total / pairs
 
 
-def path_length_histogram(
+# -- the Figure 2/3 triple -----------------------------------------------------
+
+
+def topology_metrics(
     snapshot: GraphSnapshot,
-    n_sources: Optional[int] = None,
+    clustering_sample: Optional[int] = None,
+    path_sources: Optional[int] = None,
     rng: Optional[random.Random] = None,
-) -> Dict[int, int]:
-    """Histogram ``distance -> count`` over (sampled) ordered pairs."""
-    n = snapshot.n
-    if n < 2:
-        return {}
-    if n_sources is not None and n_sources < n:
-        if rng is None:
-            rng = random.Random(0)
-        sources = rng.sample(range(n), n_sources)
-    else:
-        sources = list(range(n))
-    histogram: Dict[int, int] = {}
-    for source in sources:
-        dist = bfs_distances(snapshot, source)
-        positive = dist[dist > 0]
-        for value, count in zip(*np.unique(positive, return_counts=True)):
-            histogram[int(value)] = histogram.get(int(value), 0) + int(count)
-    return histogram
+) -> Dict[str, float]:
+    """Average degree, clustering coefficient and average path length.
 
-
-def estimated_diameter(
-    snapshot: GraphSnapshot,
-    n_sources: Optional[int] = None,
-    rng: Optional[random.Random] = None,
-) -> int:
-    """Largest BFS eccentricity over (sampled) sources; lower bound on the
-    true diameter when sampling."""
-    n = snapshot.n
-    if n < 2:
-        return 0
-    if n_sources is not None and n_sources < n:
-        if rng is None:
-            rng = random.Random(0)
-        sources = rng.sample(range(n), n_sources)
-    else:
-        sources = list(range(n))
-    best = 0
-    for source in sources:
-        dist = bfs_distances(snapshot, source)
-        if dist.size:
-            best = max(best, int(dist.max()))
-    return best
-
-
-def degree_statistics(snapshot: GraphSnapshot) -> Tuple[float, float, int, int]:
-    """Convenience: ``(mean, std, min, max)`` of the degree distribution."""
-    degrees = snapshot.degrees()
-    if degrees.size == 0:
-        return 0.0, 0.0, 0, 0
-    return (
-        float(degrees.mean()),
-        float(degrees.std()),
-        int(degrees.min()),
-        int(degrees.max()),
-    )
+    The three properties Figures 2 and 3 plot, in one fixed order:
+    clustering draws its node sample from ``rng`` before path length
+    draws its BFS sources, so one RNG gives one reproducible triple.
+    ``rng`` defaults to a fresh ``random.Random(0)``.
+    """
+    if rng is None:
+        rng = random.Random(0)
+    return {
+        "average_degree": average_degree(snapshot),
+        "clustering": clustering_coefficient(
+            snapshot, sample=clustering_sample, rng=rng
+        ),
+        "average_path_length": average_path_length(
+            snapshot, n_sources=path_sources, rng=rng
+        ),
+    }

@@ -22,8 +22,8 @@ mid-flight; their descriptors decay out of other views, exactly the
 self-healing dynamics of Figure 7) and :meth:`spawn` (a joiner
 bootstrapped from live contacts) -- or declaratively:
 :meth:`LocalCluster.run_spec` executes the membership schedule of a
-:class:`~repro.workloads.spec.ScenarioSpec` (``grow``,
-``catastrophic-failure``, ``continuous-churn``, ``churn-trace``) against
+:class:`~repro.workloads.spec.ScenarioSpec` (``catastrophic-failure``,
+``continuous-churn``, ``churn-trace``) against
 the *live* daemons, each event quantized to a lockstep round start, so
 the same workload document that drives the simulation engines also
 drives a real datagram cluster.
@@ -41,7 +41,7 @@ from repro.core.config import NetworkConfig, ProtocolConfig
 from repro.core.descriptor import Address, NodeDescriptor
 from repro.core.errors import ConfigurationError, NodeNotFoundError
 from repro.core.protocol import GossipNode
-from repro.graph.metrics import average_path_length, clustering_coefficient
+from repro.graph.metrics import topology_metrics
 from repro.graph.snapshot import GraphSnapshot, view_edge_arrays
 from repro.net.daemon import GossipDaemon
 from repro.net.transport import (
@@ -77,23 +77,22 @@ def summarize_views(
     graph -- computed with the same :mod:`repro.graph` pipeline the
     simulation experiments use, from one pass over the descriptors.
     """
-    if rng is None:
-        rng = random.Random(0)
     addresses, src, dst = view_edge_arrays(views)
     degrees = np.bincount(dst, minlength=len(addresses))
-    snapshot = GraphSnapshot.from_edge_arrays(addresses, src, dst)
+    metrics = topology_metrics(
+        GraphSnapshot.from_edge_arrays(addresses, src, dst),
+        clustering_sample=clustering_sample,
+        path_sources=path_sources,
+        rng=rng,
+    )
     return {
         "nodes": float(len(views)),
         "in_degree_mean": float(degrees.mean()) if degrees.size else 0.0,
         "in_degree_std": float(degrees.std(ddof=1)) if degrees.size > 1 else 0.0,
         "in_degree_min": float(degrees.min()) if degrees.size else 0.0,
         "in_degree_max": float(degrees.max()) if degrees.size else 0.0,
-        "clustering": clustering_coefficient(
-            snapshot, sample=clustering_sample, rng=rng
-        ),
-        "average_path_length": average_path_length(
-            snapshot, n_sources=path_sources, rng=rng
-        ),
+        "clustering": metrics["clustering"],
+        "average_path_length": metrics["average_path_length"],
     }
 
 
@@ -260,10 +259,7 @@ class LocalCluster:
         against the live cluster, one lockstep round per gossip cycle.
 
         The cluster analogue of
-        :func:`repro.workloads.runtime.compile_scenario`: ``grow`` boots
-        one node as the oldest and spawns its joiners with that node as
-        their only contact (as
-        :class:`~repro.simulation.scenarios.GrowingScenario` does),
+        :func:`repro.workloads.runtime.compile_scenario`:
         ``catastrophic-failure`` crashes the
         configured fraction, ``continuous-churn`` spawns/crashes at every
         round start, and ``churn-trace`` timelines are generated with the
@@ -276,16 +272,16 @@ class LocalCluster:
 
         The cluster must be started (lockstep) and, because its
         :meth:`start` already performs the random bootstrap, only
-        ``bootstrap: "random"`` specs apply.  ``cycles`` overrides the
-        spec's run length; ``on_cycle(cycle, cluster)`` is invoked after
-        every round.  Returns churn totals.
+        ``bootstrap: "random"`` specs apply -- and so no ``grow`` event,
+        which a spec accepts only on an ``empty`` bootstrap.  ``cycles``
+        overrides the spec's run length; ``on_cycle(cycle, cluster)`` is
+        invoked after every round.  Returns churn totals.
         """
         from repro.workloads.runtime import generate_trace
         from repro.workloads.spec import (
             CatastrophicFailure,
             ChurnTrace,
             ContinuousChurn,
-            Grow,
             Heal,
             Partition,
         )
@@ -335,34 +331,10 @@ class LocalCluster:
         failures = [
             e for e in spec.events if isinstance(e, CatastrophicFailure)
         ]
-        grows = [e for e in spec.events if isinstance(e, Grow)]
-        for event in grows:
-            if event.target is None:
-                raise ConfigurationError(
-                    "grow.target must be explicit for cluster runs (no "
-                    "scale preset applies)"
-                )
         fired = set()
         totals = {"joined": 0, "crashed": 0}
         trace_pos = 0
-        oldest: Dict[int, Address] = {}
         for cycle in range(total):
-            for index, event in enumerate(grows):
-                # GrowingScenario's rule: the event boots one node as the
-                # oldest, and every joiner's only contact is that node.
-                if index not in oldest:
-                    oldest[index] = await self.spawn(contacts=())
-                    totals["joined"] += 1
-                missing = event.target - len(self)
-                if missing > 0:
-                    per_cycle = (
-                        event.per_cycle
-                        if event.per_cycle is not None
-                        else max(1, event.target // 100)
-                    )
-                    for _ in range(min(per_cycle, missing)):
-                        await self.spawn(contacts=[oldest[index]])
-                        totals["joined"] += 1
             for index, event in enumerate(failures):
                 if index not in fired and cycle >= event.at_cycle:
                     count = int(round(len(self) * event.fraction))

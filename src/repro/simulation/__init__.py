@@ -25,6 +25,10 @@ A third execution family scales a *single* run across cores:
 synchronous BSP rounds over the same kernel, optionally partitioned
 across shard processes through shared memory, with results identical for
 every shard count (see :mod:`repro.simulation.sharded`).
+
+Every engine calls its :class:`~repro.simulation.trace.Observer` hooks
+around each cycle; what a run measures through them is the vocabulary
+of :mod:`repro.workloads.measure`.
 """
 
 from repro.simulation.engine import CycleEngine
@@ -39,24 +43,16 @@ from repro.simulation.network import (
     NoLoss,
     UniformLatency,
 )
-from repro.simulation.trace import (
-    DeadLinkCensus,
-    DegreeTracer,
-    MetricsRecorder,
-    Observer,
-)
+from repro.simulation.trace import Observer
 
 __all__ = [
     "BernoulliLoss",
     "ConstantLatency",
     "CycleEngine",
-    "DeadLinkCensus",
-    "DegreeTracer",
     "EventEngine",
     "ExponentialLatency",
     "FastCycleEngine",
     "FastEventEngine",
-    "MetricsRecorder",
     "NoLoss",
     "Observer",
     "ShardedCycleEngine",

@@ -14,7 +14,7 @@ null hypothesis of an i.i.d. series.  A series staying inside the band is
 from __future__ import annotations
 
 import statistics
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -84,30 +84,3 @@ def fraction_outside_band(
     if values.size == 0:
         return 0.0
     return float((np.abs(values) > band).mean())
-
-
-def dominant_period(correlations: Sequence[float]) -> int:
-    """Lag (>= 1) of the highest positive autocorrelation peak.
-
-    A crude periodicity detector used by the degree-dynamics analysis: for
-    oscillating series (the paper's (*,rand,*) protocols) this returns the
-    oscillation period; returns 0 when no lag beats the noise floor.
-    """
-    values = np.asarray(correlations, dtype=np.float64)
-    if values.size <= 1:
-        return 0
-    tail = values[1:]
-    best = int(np.argmax(tail))
-    if tail[best] <= 0.0:
-        return 0
-    return best + 1
-
-
-def autocorrelation_with_band(
-    series: Sequence[float], max_lag: int, level: float = 0.99
-) -> Tuple[np.ndarray, float]:
-    """Convenience: ``(autocorrelation, band half-width)`` in one call."""
-    return (
-        autocorrelation(series, max_lag),
-        confidence_band(len(series), level),
-    )

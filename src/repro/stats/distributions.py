@@ -9,36 +9,9 @@ heavy-tailed (rand view selection).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
-
-
-def degree_distribution(
-    degrees: Sequence[int],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(values, counts)`` of the degree frequency distribution.
-
-    Values are sorted ascending; only non-empty bins are returned, matching
-    the points plotted on the paper's log-log axes.
-    """
-    array = np.asarray(degrees, dtype=np.int64)
-    if array.size == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.unique(array, return_counts=True)
-
-
-def ccdf(degrees: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-    """Complementary CDF ``P(D >= d)`` at each observed degree value.
-
-    More robust than raw frequencies for eyeballing heavy tails.
-    """
-    values, counts = degree_distribution(degrees)
-    if values.size == 0:
-        return values, np.empty(0, dtype=np.float64)
-    total = counts.sum()
-    tail = np.cumsum(counts[::-1])[::-1] / total
-    return values, tail
 
 
 def log_spaced_cycles(max_cycle: int, per_decade: int = 1) -> List[int]:
@@ -94,5 +67,7 @@ def tail_weight(degrees: Sequence[int], multiple: float = 2.0) -> float:
 
 def histogram_dict(degrees: Sequence[int]) -> Dict[int, int]:
     """The distribution as a plain ``{degree: count}`` dict."""
-    values, counts = degree_distribution(degrees)
+    values, counts = np.unique(
+        np.asarray(degrees, dtype=np.int64), return_counts=True
+    )
     return {int(v): int(c) for v, c in zip(values, counts)}

@@ -10,23 +10,19 @@ topology-level analysis of :mod:`repro.graph`:
   repeated ``get_peer`` calls across many callers;
 - :func:`chi_square_uniformity` -- the chi-square statistic (and its
   normalized form) of that distribution against the uniform null;
-- :func:`total_variation_from_uniform` -- L1 distance to uniform in [0, 1];
-- :func:`repeat_probability` -- short-window repeat rate of one caller's
-  stream (temporal correlation: views change slowly, so consecutive calls
-  collide far more often than independent uniform draws would);
-- :class:`SamplingQualityReport` / :func:`evaluate_sampling_quality` --
-  everything at once, for any object exposing ``get_peer``.
+- :func:`total_variation_from_uniform` -- L1 distance to uniform in
+  [0, 1].
+
+The ``sampling-distance`` measurement (:mod:`repro.workloads.measure`)
+combines them over a run's final overlay.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from collections import Counter
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.core.descriptor import Address
-
-GetPeer = Callable[[], Optional[Address]]
 
 
 def sample_frequencies(
@@ -96,100 +92,4 @@ def total_variation_from_uniform(
     return 0.5 * sum(
         abs(counts.get(address, 0) / total - uniform)
         for address in population
-    )
-
-
-def repeat_probability(
-    service: object,
-    calls: int,
-    window: int = 1,
-) -> float:
-    """Probability that a sample repeats one seen within ``window`` calls.
-
-    For independent uniform sampling over N-1 peers this is about
-    ``window / (N - 1)``; gossip services sample from a slowly-changing
-    c-sized view, so their repeat rate is about ``window / c`` -- much
-    higher.  This is the "correlation in time" the paper's ``getPeer``
-    specification leaves implementation-defined.
-    """
-    if calls < 2:
-        raise ValueError("need at least 2 calls to measure repeats")
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    recent: List[Address] = []
-    repeats = 0
-    observations = 0
-    for _ in range(calls):
-        peer = service.get_peer()
-        if peer is None:
-            continue
-        if recent:
-            observations += 1
-            if peer in recent[-window:]:
-                repeats += 1
-        recent.append(peer)
-    if observations == 0:
-        return 0.0
-    return repeats / observations
-
-
-@dataclasses.dataclass(frozen=True)
-class SamplingQualityReport:
-    """Summary of one service population's sampling quality."""
-
-    n_population: int
-    total_samples: int
-    normalized_chi_square: float
-    """~1.0 for uniform sampling; >> 1.0 for structured sampling."""
-    total_variation: float
-    """L1/2 distance to the uniform distribution, in [0, 1]."""
-    coverage: float
-    """Fraction of the population sampled at least once."""
-    repeat_probability_window1: float
-    """One caller's immediate-repeat rate (temporal correlation)."""
-
-
-def evaluate_sampling_quality(
-    services: Dict[Address, object],
-    calls_per_service: int = 20,
-    repeat_calls: int = 200,
-) -> SamplingQualityReport:
-    """Evaluate a population of peer sampling services in one sweep.
-
-    Parameters
-    ----------
-    services:
-        Mapping of address -> service (anything with ``get_peer``); the
-        key set defines the population the hit distribution is measured
-        against.
-    calls_per_service:
-        Samples drawn from every service for the global distribution.
-    repeat_calls:
-        Samples drawn from one (arbitrary, first) service for the
-        temporal repeat rate.
-
-    Degenerate inputs fail eagerly: an empty service mapping or a
-    single-node population has no uniform null to score against, so both
-    raise :class:`ValueError` before any sampling happens (instead of
-    surfacing as a ``StopIteration`` or a zero-expected-count division
-    mid-sweep).
-    """
-    if not services:
-        raise ValueError("need at least one service to evaluate")
-    if len(services) < 2:
-        raise ValueError(
-            "a single-node population cannot be scored against the "
-            "uniform distribution; need at least 2 services"
-        )
-    population = list(services)
-    counts = sample_frequencies(list(services.values()), calls_per_service)
-    first = next(iter(services.values()))
-    return SamplingQualityReport(
-        n_population=len(population),
-        total_samples=sum(counts.values()),
-        normalized_chi_square=chi_square_uniformity(counts, population),
-        total_variation=total_variation_from_uniform(counts, population),
-        coverage=sum(1 for a in population if counts.get(a, 0) > 0)
-        / len(population),
-        repeat_probability_window1=repeat_probability(first, repeat_calls),
     )

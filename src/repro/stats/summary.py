@@ -23,63 +23,6 @@ from typing import Sequence
 import numpy as np
 
 
-class RunningStats:
-    """Streaming mean/variance via Welford's algorithm.
-
-    Numerically stable single-pass statistics; used by long-running
-    recorders that should not retain full series.
-    """
-
-    __slots__ = ("count", "_mean", "_m2", "min", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def add(self, value: float) -> None:
-        """Fold one observation into the statistics."""
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    def extend(self, values: Sequence[float]) -> None:
-        """Fold many observations."""
-        for value in values:
-            self.add(value)
-
-    @property
-    def mean(self) -> float:
-        """Sample mean (nan when empty)."""
-        return self._mean if self.count else float("nan")
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance (nan for < 2 observations)."""
-        if self.count < 2:
-            return float("nan")
-        return self._m2 / (self.count - 1)
-
-    @property
-    def std(self) -> float:
-        """Unbiased sample standard deviation."""
-        variance = self.variance
-        return math.sqrt(variance) if not math.isnan(variance) else variance
-
-    def __repr__(self) -> str:
-        return (
-            f"RunningStats(count={self.count}, mean={self.mean:.4g}, "
-            f"std={self.std:.4g})"
-        )
-
-
 @dataclasses.dataclass(frozen=True)
 class DegreeDynamics:
     """The Table 2 row for one protocol."""

@@ -16,6 +16,9 @@ runs it*:
   and run-loop hooks for any registry engine (``cycle``, ``fast``,
   ``event``, ``fast-event``, ``live``), including exact sub-cycle
   churn-trace execution on the event engines;
+- :mod:`repro.workloads.measure` -- :data:`MEASUREMENTS`, the one
+  measurement vocabulary (what a run records and when), and
+  :func:`measure`, which records named entries over any prepared run;
 - :mod:`repro.workloads.plan` -- :class:`ExperimentPlan`
   (``protocols x scenario x scales x engines x seeds``) and
   :func:`run_plan`, the single driver behind
@@ -47,8 +50,8 @@ spec execution is pinned by ``tests/simulation/test_conformance.py``.
 
 from repro.core.errors import PlanExecutionError
 from repro.workloads.library import SCENARIOS, named_scenario
+from repro.workloads.measure import MEASUREMENTS, measure
 from repro.workloads.plan import (
-    MEASUREMENTS,
     ExperimentPlan,
     PlanCell,
     PlanResult,
@@ -107,6 +110,7 @@ __all__ = [
     "compile_scenario",
     "execute_cell",
     "generate_trace",
+    "measure",
     "named_scenario",
     "plan_cells",
     "prepare_run",

@@ -40,7 +40,6 @@ the ``timeout`` budget expiring -- cancel the remaining cells and raise
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import hashlib
 import json
@@ -53,7 +52,6 @@ from typing import (
     Dict,
     List,
     Mapping,
-    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -64,11 +62,8 @@ from repro.core.config import ProtocolConfig
 from repro.core.errors import ConfigurationError, PlanExecutionError
 from repro.simulation.base import require
 from repro.workloads.library import SCENARIOS, named_scenario
-from repro.workloads.runtime import (
-    ScenarioRuntime,
-    prepare_run,
-    warm_shared_caches,
-)
+from repro.workloads.measure import MEASUREMENTS, measure
+from repro.workloads.runtime import prepare_run, warm_shared_caches
 from repro.workloads.spec import ScenarioSpec
 
 __all__ = [
@@ -84,397 +79,6 @@ __all__ = [
     "run_plan",
     "run_plans",
 ]
-
-
-# -- measurements ------------------------------------------------------------
-
-
-class Measurement(NamedTuple):
-    """One recordable quantity: attach observers, then extract a result."""
-
-    description: str
-    setup: Callable[[ScenarioRuntime, Any], Callable[[], Any]]
-    """``setup(runtime, scale)`` runs after the bootstrap and returns the
-    zero-argument extractor called once the run completes."""
-
-
-def _measure_metrics(runtime: ScenarioRuntime, scale) -> Callable[[], Any]:
-    from repro.simulation.trace import MetricsRecorder
-
-    recorder = MetricsRecorder(
-        every=scale.metrics_every,
-        clustering_sample=scale.clustering_sample,
-        path_sources=scale.path_sources,
-        record_initial=False,
-    )
-    runtime.add_observer(recorder)
-    return recorder.as_dict
-
-
-def _measure_dead_links(runtime: ScenarioRuntime, scale) -> Callable[[], Any]:
-    from repro.simulation.trace import DeadLinkCensus
-
-    census = DeadLinkCensus(every=1)
-    runtime.add_observer(census)
-    return lambda: {
-        "cycles": list(census.cycles),
-        "dead_links": list(census.dead_links),
-    }
-
-
-def _measure_dead_links_healing(
-    runtime: ScenarioRuntime, scale
-) -> Callable[[], Any]:
-    from repro.simulation.trace import DeadLinkCensus
-    from repro.workloads.spec import CatastrophicFailure
-
-    # Only the healing window pays the per-cycle dead-link scan: cycles
-    # up to and including the first crash have nothing to heal (without
-    # a failure event the window is the whole run, like "dead-links").
-    start = min(
-        (
-            event.at_cycle
-            for event in runtime.spec.events_of(CatastrophicFailure)
-        ),
-        default=0,
-    )
-
-    class _WindowedCensus(DeadLinkCensus):
-        def after_cycle(self, engine) -> None:
-            if engine.cycle > start:
-                super().after_cycle(engine)
-
-    census = _WindowedCensus(every=1)
-    runtime.add_observer(census)
-    return lambda: {
-        "cycles": list(census.cycles),
-        "dead_links": list(census.dead_links),
-    }
-
-
-def _measure_dead_links_initial(
-    runtime: ScenarioRuntime, scale
-) -> Callable[[], Any]:
-    def extract() -> Optional[int]:
-        from repro.workloads.runtime import FailureHandle
-
-        # Earliest crash, not declaration order: must agree with the
-        # dead-links-healing window (min at_cycle) when a spec schedules
-        # several failures out of chronological order.
-        handles = [
-            handle
-            for handle in runtime.handles
-            if isinstance(handle, FailureHandle)
-        ]
-        if not handles:
-            return None
-        return min(handles, key=lambda h: h.at_cycle).dead_links_after
-
-    return extract
-
-
-def _measure_view_sizes(runtime: ScenarioRuntime, scale) -> Callable[[], Any]:
-    from repro.simulation.trace import ViewSizeRecorder
-
-    recorder = ViewSizeRecorder(every=scale.metrics_every)
-    runtime.add_observer(recorder)
-    return lambda: {
-        "cycles": list(recorder.cycles),
-        "min": list(recorder.min_size),
-        "mean": list(recorder.mean_size),
-        "max": list(recorder.max_size),
-    }
-
-
-def _measure_degree_trace(runtime: ScenarioRuntime, scale) -> Callable[[], Any]:
-    from repro.simulation.trace import DegreeTracer
-
-    tracer = DegreeTracer(
-        runtime.bootstrap_addresses[: scale.traced_nodes]
-    )
-    runtime.add_observer(tracer)
-    return lambda: {"cycles": list(tracer.cycles), "series": tracer.matrix()}
-
-
-def _measure_components(runtime: ScenarioRuntime, scale) -> Callable[[], Any]:
-    def extract() -> List[int]:
-        from repro.graph.components import component_sizes
-        from repro.graph.snapshot import GraphSnapshot
-
-        return component_sizes(GraphSnapshot.from_engine(runtime.engine))
-
-    return extract
-
-
-def _measure_degrees(runtime: ScenarioRuntime, scale) -> Callable[[], Any]:
-    def extract() -> Dict[str, float]:
-        from repro.graph.snapshot import GraphSnapshot
-
-        degrees = GraphSnapshot.from_engine(runtime.engine).degrees()
-        if degrees.size == 0:
-            return {"mean": 0.0, "std": 0.0, "min": 0, "max": 0}
-        return {
-            "mean": float(degrees.mean()),
-            "std": float(degrees.std()),
-            "min": int(degrees.min()),
-            "max": int(degrees.max()),
-        }
-
-    return extract
-
-
-def _measure_broadcast_coverage(
-    runtime: ScenarioRuntime, scale
-) -> Callable[[], Any]:
-    def extract() -> Dict[str, Any]:
-        from repro.services import AntiEntropyBroadcast, sampling_services
-
-        # Runs after run_to_end() and after the record's views_digest
-        # was computed, over the final overlay.  get_peer draws never
-        # mutate views, and the engine RNG is byte-identical across a
-        # family post-run, so the extracted series is too.
-        result = AntiEntropyBroadcast(
-            sampling_services(runtime.engine), fanout=2, mode="push"
-        ).run()
-        return {
-            "coverage": list(result.coverage),
-            "rounds": result.rounds,
-            "covered": result.covered,
-            "stale_samples": result.stale_samples,
-        }
-
-    return extract
-
-
-def _measure_aggregation_variance(
-    runtime: ScenarioRuntime, scale
-) -> Callable[[], Any]:
-    def extract() -> Dict[str, Any]:
-        from repro.services import PushPullAveraging, sampling_services
-
-        result = PushPullAveraging(
-            sampling_services(runtime.engine),
-            rounds=15,
-            rng=runtime.engine.rng,
-        ).run()
-        return {
-            "variances": list(result.variances),
-            "reduction_factor": result.reduction_factor,
-            "stale_samples": result.stale_samples,
-        }
-
-    return extract
-
-
-def _measure_search_hit_rate(
-    runtime: ScenarioRuntime, scale
-) -> Callable[[], Any]:
-    def extract() -> Dict[str, Any]:
-        from repro.services import (
-            RandomWalkSearch,
-            sampling_services,
-            scatter_key,
-        )
-
-        services = sampling_services(runtime.engine)
-        rng = runtime.engine.rng
-        # ~1% replication (at least one copy), TTL sized so an ideal
-        # uniform walk hits with high probability -- the gap to 100% is
-        # then the sampling quality the cell is measuring.
-        copies = max(1, len(services) // 100)
-        result = RandomWalkSearch(
-            services,
-            scatter_key(list(services), copies, rng),
-            ttl=min(256, 4 * max(1, len(services) // copies)),
-            rng=rng,
-        ).run(queries=min(64, len(services)))
-        return {
-            "hit_rate": result.hit_rate,
-            "mean_hops": result.mean_hops,
-            "queries": result.queries,
-            "holders": result.holders,
-            "ttl": result.ttl,
-            "stale_samples": result.stale_samples,
-        }
-
-    return extract
-
-
-def _measure_indegree_concentration(
-    runtime: ScenarioRuntime, scale
-) -> Callable[[], Any]:
-    def extract() -> Dict[str, Any]:
-        handle = getattr(runtime, "adversary", None)
-        attackers = set(handle.attackers) if handle is not None else set()
-        # Dead targets count too (an attacker may have crashed), so this
-        # tallies the rows rather than edge_arrays(), which drops them.
-        indegree = collections.Counter()
-        for _, peers, _ in runtime.engine.view_rows():
-            indegree.update(peers)
-        total = sum(indegree.values())
-        attacker_links = sum(indegree.get(a, 0) for a in attackers)
-        return {
-            "total_links": total,
-            "attacker_links": attacker_links,
-            "attacker_share": attacker_links / total if total else 0.0,
-            "max_indegree_share": (
-                max(indegree.values()) / total if total else 0.0
-            ),
-            "n_attackers": len(attackers),
-        }
-
-    return extract
-
-
-def _measure_eclipse_exposure(
-    runtime: ScenarioRuntime, scale
-) -> Callable[[], Any]:
-    from repro.simulation.trace import Observer
-
-    handle = getattr(runtime, "adversary", None)
-    attackers = frozenset(handle.attackers) if handle is not None else frozenset()
-    victims = tuple(handle.victims) if handle is not None else ()
-    cycles: List[int] = []
-    exposure: List[float] = []
-
-    class _ExposureCensus(Observer):
-        def after_cycle(self, engine) -> None:
-            rows = 0
-            hits = 0
-            for victim in victims:
-                if not engine.is_alive(victim):
-                    continue
-                for descriptor in engine.node(victim).view:
-                    rows += 1
-                    if descriptor.address in attackers:
-                        hits += 1
-            cycles.append(engine.cycle)
-            exposure.append(hits / rows if rows else 0.0)
-
-    runtime.add_observer(_ExposureCensus())
-    return lambda: {"cycles": list(cycles), "exposure": list(exposure)}
-
-
-def _measure_sampling_distance(
-    runtime: ScenarioRuntime, scale
-) -> Callable[[], Any]:
-    def extract() -> Dict[str, Any]:
-        from repro.services import sampling_services
-        from repro.stats.sampling_quality import (
-            chi_square_uniformity,
-            sample_frequencies,
-            total_variation_from_uniform,
-        )
-
-        # Runs post-run and after the record's views_digest, like
-        # broadcast-coverage: get_peer draws never mutate views and the
-        # engine RNG is byte-identical across the cycle family post-run,
-        # so the extracted distances are too.
-        handle = getattr(runtime, "adversary", None)
-        attackers = set(handle.attackers) if handle is not None else set()
-        engine = runtime.engine
-        population = engine.addresses()
-        honest = [
-            service
-            for address, service in sampling_services(engine).items()
-            if address not in attackers
-        ]
-        counts = sample_frequencies(honest, calls_per_service=25)
-        result: Dict[str, Any] = {
-            "population": len(population),
-            "honest_callers": len(honest),
-            "samples": sum(counts.values()),
-            "total_variation": None,
-            "normalized_chi_square": None,
-        }
-        # Distances are only defined over samples that actually land in
-        # the current population: a fully eclipsed run can leave every
-        # honest sample pointing at churned-out attackers, making the
-        # in-population total zero even though ``counts`` is non-empty.
-        in_population = sum(counts.get(address, 0) for address in population)
-        if len(population) >= 2 and in_population:
-            result["total_variation"] = total_variation_from_uniform(
-                counts, population
-            )
-            result["normalized_chi_square"] = chi_square_uniformity(
-                counts, population
-            )
-        return result
-
-    return extract
-
-
-MEASUREMENTS: Dict[str, Measurement] = {
-    "metrics": Measurement(
-        "clustering / average degree / path length per cycle (Figure 2/3)",
-        _measure_metrics,
-    ),
-    "dead-links": Measurement(
-        "dead links after every cycle (Figure 7)", _measure_dead_links
-    ),
-    "dead-links-healing": Measurement(
-        "dead links after every cycle following the first "
-        "catastrophic-failure (the Figure 7 healing window; the whole "
-        "run when no failure event is scheduled)",
-        _measure_dead_links_healing,
-    ),
-    "dead-links-initial": Measurement(
-        "dead links immediately after the catastrophic-failure crash, "
-        "before any healing exchange (Figure 7's 'initial'; null without "
-        "a failure event)",
-        _measure_dead_links_initial,
-    ),
-    "view-sizes": Measurement(
-        "min/mean/max view fill level", _measure_view_sizes
-    ),
-    "degree-trace": Measurement(
-        "per-cycle degrees of the first traced_nodes bootstrap nodes "
-        "(Table 2 / Figure 5)",
-        _measure_degree_trace,
-    ),
-    "components": Measurement(
-        "connected component sizes of the final overlay (Table 1)",
-        _measure_components,
-    ),
-    "degrees": Measurement(
-        "degree distribution summary of the final overlay (Figure 4)",
-        _measure_degrees,
-    ),
-    "broadcast-coverage": Measurement(
-        "push rumor spreading over the final overlay: per-round informed "
-        "counts, rounds-to-coverage and stale-sample count "
-        "(repro.services.AntiEntropyBroadcast)",
-        _measure_broadcast_coverage,
-    ),
-    "aggregation-variance": Measurement(
-        "push-pull averaging over the final overlay: per-round variance "
-        "decay and stale-sample count (repro.services.PushPullAveraging)",
-        _measure_aggregation_variance,
-    ),
-    "search-hit-rate": Measurement(
-        "TTL random-walk lookups over the final overlay: hit rate, mean "
-        "hops and stale-sample count (repro.services.RandomWalkSearch)",
-        _measure_search_hit_rate,
-    ),
-    "indegree-concentration": Measurement(
-        "in-degree mass captured by the adversary in the final overlay: "
-        "attacker link share and the single largest in-degree share "
-        "(zeros without an adversary block)",
-        _measure_indegree_concentration,
-    ),
-    "eclipse-exposure": Measurement(
-        "per-cycle fraction of victim view entries pointing at "
-        "attackers (empty exposure without eclipse victims)",
-        _measure_eclipse_exposure,
-    ),
-    "sampling-distance": Measurement(
-        "distance of honest nodes' pooled getPeer() streams from the "
-        "uniform distribution over the final overlay: total variation "
-        "and normalized chi-square (repro.stats.sampling_quality)",
-        _measure_sampling_distance,
-    ),
-}
-"""Measurements selectable by name in :class:`ExperimentPlan`."""
 
 
 # -- the plan ----------------------------------------------------------------
@@ -582,6 +186,10 @@ class ExperimentPlan:
                     f"unknown measurement {measurement!r}; choose from "
                     f"{sorted(MEASUREMENTS)}"
                 )
+        if len(set(self.measurements)) != len(self.measurements):
+            raise ConfigurationError(
+                f"measurements must be distinct, got {list(self.measurements)}"
+            )
         if self.n_nodes is not None and (
             not isinstance(self.n_nodes, int) or self.n_nodes < 1
         ):
@@ -953,16 +561,13 @@ def execute_cell(cell: PlanCell) -> RunRecord:
             cycles=cell.cycles,
         )
         protocol_label = config.label
-    extractors = {
-        name: MEASUREMENTS[name].setup(runtime, scale)
-        for name in cell.measurements
-    }
+    extract = measure(runtime, cell.measurements, scale)
     prepared = time.perf_counter()
     runtime.run_to_end()
     ran = time.perf_counter()
     digest = runtime.views_digest()
     digested = time.perf_counter()
-    measurements = {name: extract() for name, extract in extractors.items()}
+    measurements = extract()
     finished = time.perf_counter()
     return RunRecord(
         scenario=spec.name,

@@ -16,6 +16,7 @@ event kind           meaning
 ==================== ==========================================================
 ``grow``             the growing overlay of Section 5.1: joiners arrive in
                      batches at cycle starts, knowing only the oldest node
+                     (``empty`` bootstrap only)
 ``catastrophic-      crash a fraction of all nodes at the start of one cycle
 failure``            (Section 7 / Figure 7)
 ``continuous-churn`` steady join/leave batches at every cycle start
@@ -65,7 +66,7 @@ BOOTSTRAP_KINDS = ("random", "lattice", "empty")
 ``random`` and ``lattice`` are the paper's Section 5.2/5.3 initial
 topologies (``n_nodes`` views filled immediately); ``empty`` starts with
 no nodes at all -- the ``grow`` event then builds the overlay (Section
-5.1)."""
+5.1).  ``grow`` is valid on the ``empty`` bootstrap only."""
 
 
 def _require(condition: bool, message: str) -> None:
@@ -149,6 +150,7 @@ class ScenarioEvent:
 class Grow(ScenarioEvent):
     """Grow the overlay from a single node (paper Section 5.1).
 
+    Valid only on an ``empty`` bootstrap (the spec rejects it otherwise).
     ``target`` and ``per_cycle`` default (``None``) to the run's node
     count and the scale's growth rate, so the same spec reproduces the
     paper's proportions at any scale.
@@ -531,11 +533,21 @@ class ScenarioSpec:
                 "population; an 'empty' bootstrap has none",
             )
         self._check_partitions()
+        grows = any(isinstance(e, Grow) for e in self.events)
         if self.bootstrap == "empty":
             _require(
-                any(isinstance(e, Grow) for e in self.events),
+                grows,
                 "an 'empty' bootstrap needs a 'grow' event to ever "
                 "populate the overlay",
+            )
+        else:
+            # A grow event boots its own isolated oldest node, so on a
+            # populated bootstrap it would build a second, disjoint
+            # overlay beside the first.
+            _require(
+                not grows,
+                f"a 'grow' event builds the overlay from one node and needs "
+                f"an 'empty' bootstrap, not {self.bootstrap!r}",
             )
 
     def _check_partitions(self) -> None:

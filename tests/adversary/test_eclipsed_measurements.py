@@ -10,10 +10,7 @@ by zero or raising from the chi-square/TV helpers.
 
 from repro.core.config import ProtocolConfig
 from repro.workloads import AdversarySpec, ScenarioSpec, prepare_run
-from repro.workloads.plan import (
-    _measure_indegree_concentration,
-    _measure_sampling_distance,
-)
+from repro.workloads.measure import read_now
 
 
 def attacked_runtime(n_nodes=12, attackers=tuple(range(8)), cycles=15):
@@ -36,7 +33,7 @@ def attacked_runtime(n_nodes=12, attackers=tuple(range(8)), cycles=15):
 
 def test_attacked_run_reports_distances():
     runtime = attacked_runtime()
-    result = _measure_sampling_distance(runtime, None)()
+    result = read_now(runtime, "sampling-distance")
     assert result["population"] == 12
     assert result["honest_callers"] == 4
     assert result["total_variation"] is not None
@@ -51,7 +48,7 @@ def test_dead_attackers_leave_distances_undefined_not_crashing():
     runtime = attacked_runtime()
     for address in runtime.adversary.attackers:
         runtime.engine.remove_node(address)
-    result = _measure_sampling_distance(runtime, None)()
+    result = read_now(runtime, "sampling-distance")
     assert result["population"] == 4
     assert result["honest_callers"] == 4
     # 100 samples were drawn, every one pointing at a dead attacker:
@@ -70,7 +67,7 @@ def test_zero_in_population_samples_guarded():
     # leaves a 1-node population -- below the 2-node distance floor.
     for address in runtime.adversary.attackers:
         runtime.engine.remove_node(address)
-    result = _measure_sampling_distance(runtime, None)()
+    result = read_now(runtime, "sampling-distance")
     assert result["population"] == 1
     assert result["total_variation"] is None
     assert result["normalized_chi_square"] is None
@@ -80,7 +77,7 @@ def test_indegree_concentration_on_emptied_population():
     runtime = attacked_runtime(n_nodes=10, attackers=tuple(range(9)))
     for address in list(runtime.engine.addresses()):
         runtime.engine.remove_node(address)
-    result = _measure_indegree_concentration(runtime, None)()
+    result = read_now(runtime, "indegree-concentration")
     assert result["total_links"] == 0
     assert result["attacker_share"] == 0.0
     assert result["max_indegree_share"] == 0.0

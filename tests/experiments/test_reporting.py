@@ -3,7 +3,6 @@
 import math
 
 from repro.experiments.reporting import (
-    format_loglog_histogram,
     format_series,
     format_table,
     format_value,
@@ -64,30 +63,3 @@ class TestFormatSeries:
     def test_missing_values_rendered_as_dash(self):
         text = format_series("x", [1, 2], [("y", [5])])
         assert text.splitlines()[-1].split()[-1] == "-"
-
-
-class TestFormatLogLogHistogram:
-    def test_renders_pairs(self):
-        text = format_loglog_histogram([(30, 100), (31, 50)], title="dist")
-        assert "degree" in text
-        assert "count" in text
-        assert "30" in text
-
-
-class TestCsvExport:
-    def test_write_csv_round_trip(self, tmp_path):
-        import csv
-
-        from repro.experiments.reporting import write_csv
-
-        path = tmp_path / "rows.csv"
-        write_csv(str(path), ["a", "b"], [[1, 2.5], [None, "x"]])
-        with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
-        assert rows == [["a", "b"], ["1", "2.5"], ["", "x"]]
-
-    def test_series_rows(self):
-        from repro.experiments.reporting import series_rows
-
-        rows = series_rows([1, 2], [("y", [10, 20]), ("z", [5])])
-        assert rows == [[1, 10, 5], [2, 20, None]]

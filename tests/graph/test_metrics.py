@@ -14,10 +14,7 @@ from repro.graph.metrics import (
     bfs_distances,
     clustering_coefficient,
     degree_histogram,
-    degree_statistics,
-    estimated_diameter,
     local_clustering,
-    path_length_histogram,
 )
 from repro.graph.snapshot import GraphSnapshot
 
@@ -40,12 +37,6 @@ class TestDegreeMetrics:
         snapshot = star(5)
         histogram = degree_histogram(snapshot)
         assert histogram == {1: 4, 4: 1}
-
-    def test_degree_statistics(self):
-        mean, std, low, high = degree_statistics(star(5))
-        assert mean == pytest.approx(8 / 5)
-        assert low == 1 and high == 4
-        assert std > 0
 
 
 class TestClustering:
@@ -141,15 +132,6 @@ class TestPathLengths:
         if nx.is_connected(graph):
             theirs = nx.average_shortest_path_length(graph)
             assert average_path_length(snapshot) == pytest.approx(theirs)
-
-    def test_path_length_histogram(self):
-        histogram = path_length_histogram(path_graph(4))
-        # Ordered pairs: 6 at distance 1, 4 at distance 2, 2 at distance 3.
-        assert histogram == {1: 6, 2: 4, 3: 2}
-
-    def test_estimated_diameter(self):
-        assert estimated_diameter(path_graph(7)) == 6
-        assert estimated_diameter(complete_graph(5)) == 1
 
 
 # -- property-based -----------------------------------------------------------

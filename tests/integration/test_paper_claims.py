@@ -5,12 +5,14 @@ the paper's evaluation or discussion sections.  These are the tests that
 justify calling this repository a *reproduction*.
 """
 
+import dataclasses
 import random
 
 import numpy as np
 import pytest
 
 from repro.core.config import ProtocolConfig, lpbcast, newscast
+from repro.experiments.common import SCALES
 from repro.graph.components import (
     component_sizes,
     is_connected,
@@ -24,18 +26,33 @@ from repro.graph.metrics import (
 from repro.graph.snapshot import GraphSnapshot
 from repro.simulation.churn import massive_failure
 from repro.simulation.engine import CycleEngine
-from repro.simulation.fast_event import FastEventEngine
-from repro.simulation.network import BernoulliLoss, ConstantLatency
 from repro.simulation.scenarios import (
     lattice_bootstrap,
     random_bootstrap,
     start_growing,
 )
-from repro.simulation.trace import DegreeTracer, Observer
+from repro.simulation.trace import Observer
 from repro.stats.autocorrelation import autocorrelation, confidence_band
+from repro.workloads import ScenarioSpec, measure, prepare_run
 
 N, C = 600, 15
 CONVERGE = 50
+
+
+def traced_run(config, n, cycles, traced, **run):
+    """A random-bootstrap run of ``n`` nodes recording the degree trace
+    of its first ``traced`` nodes: ``(runtime, extract)``."""
+    scale = dataclasses.replace(SCALES["quick"], traced_nodes=traced)
+    spec = ScenarioSpec(
+        name="traced",
+        bootstrap="random",
+        latency=run.pop("latency", None),
+        loss=run.pop("loss", None),
+    )
+    runtime = prepare_run(
+        spec, config, scale=scale, n_nodes=n, cycles=cycles, **run
+    )
+    return runtime, measure(runtime, ("degree-trace",), scale)
 
 
 def converged(label, seed=0, n=N, c=C, cycles=CONVERGE):
@@ -216,12 +233,12 @@ class TestDegreeDistribution:
 
     def test_no_long_run_hubs_under_head_selection(self):
         # Table 2: time-averaged degrees concentrate (small sqrt(sigma)).
-        engine = CycleEngine(newscast(view_size=C), seed=12)
-        addresses = random_bootstrap(engine, N)
-        tracer = DegreeTracer(addresses[:20])
-        engine.add_observer(tracer)
-        engine.run(CONVERGE)
-        time_averages = [np.mean(row) for row in tracer.matrix()]
+        runtime, extract = traced_run(
+            newscast(view_size=C), N, CONVERGE, 20, seed=12, engine="cycle"
+        )
+        runtime.run_to_end()
+        series = extract()["degree-trace"]["series"]
+        time_averages = [np.mean(row) for row in series]
         assert np.std(time_averages, ddof=1) < 0.1 * np.mean(time_averages)
 
 
@@ -253,20 +270,24 @@ class TestAsynchronousAutocorrelation:
         band = confidence_band(cycles, level=0.99)
         curves = {}
         for label in ("(rand,head,pushpull)", "(rand,rand,pushpull)"):
-            engine = FastEventEngine(
+            runtime, extract = traced_run(
                 ProtocolConfig.from_label(label, 30),
+                n,
+                cycles,
+                traced,
                 seed=5,
-                latency=ConstantLatency(0.1),
-                loss=BernoulliLoss(0.01),
+                engine="fast-event",
+                latency=0.1,
+                loss=0.01,
             )
-            addresses = random_bootstrap(engine, n)
-            tracer = DegreeTracer(addresses[:traced])
-            engine.add_observer(tracer)
-            engine.add_observer(
-                _ChurnSparingTraced(addresses[:traced], n // 100)
+            runtime.add_observer(
+                _ChurnSparingTraced(
+                    runtime.bootstrap_addresses[:traced], n // 100
+                )
             )
-            engine.run(cycles)
-            per_node = [autocorrelation(s, max_lag) for s in tracer.matrix()]
+            runtime.run_to_end()
+            series = extract()["degree-trace"]["series"]
+            per_node = [autocorrelation(s, max_lag) for s in series]
             curves[label] = np.mean(per_node, axis=0)
         outside = {
             label: float((np.abs(curve[1:]) > band).mean())

@@ -285,42 +285,6 @@ class TestRunSpec:
         second = run_session(session(3))
         assert first == second
 
-    def test_grow_follows_the_growing_scenario(self):
-        # Section 5.1's growing overlay, as GrowingScenario builds it:
-        # the event boots one node as the oldest, and every joiner's
-        # only contact is that node.
-        from repro.workloads import Grow, ScenarioSpec
-
-        spec = ScenarioSpec(
-            name="grow", cycles=3, events=(Grow(target=14, per_cycle=3),)
-        )
-
-        async def session():
-            cluster = LocalCluster(
-                newscast(8), 8, network=LOCKSTEP,
-                transport="loopback", seed=1,
-            )
-            spawned = []
-            spawn = cluster.spawn
-
-            async def recording_spawn(contacts=None):
-                address = await spawn(contacts)
-                spawned.append((address, contacts))
-                return address
-
-            cluster.spawn = recording_spawn
-            await cluster.start(free_running=False)
-            try:
-                totals = await cluster.run_spec(spec)
-                return spawned, totals, len(cluster)
-            finally:
-                await cluster.stop()
-
-        spawned, totals, size = run_session(session())
-        oldest = spawned[0][0]
-        assert [contacts for _, contacts in spawned] == [()] + [[oldest]] * 5
-        assert totals["joined"] == 6 and size == 14
-
     def test_partition_events_rejected(self):
         from repro.core.errors import ConfigurationError
         from repro.workloads import Heal, Partition, ScenarioSpec

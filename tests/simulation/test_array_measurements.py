@@ -312,3 +312,49 @@ def test_plan_cell_measures_without_materializing_views(monkeypatch):
         "extract_s",
     }
     assert "timings" not in record.canonical_dict()
+
+
+def test_plan_cell_builds_one_snapshot_per_measured_instant(monkeypatch):
+    """A count guard of ``plan_cell_10k``'s shape at N=150: four metrics
+    cycles, with the final overlay's ``degrees`` and ``components``
+    reading the last of them -- four snapshots, not six."""
+    built = []
+    original = GraphSnapshot.from_edge_arrays.__func__
+
+    def counting(cls, *args):
+        built.append(1)
+        return original(cls, *args)
+
+    monkeypatch.setattr(
+        GraphSnapshot, "from_edge_arrays", classmethod(counting)
+    )
+    plan = ExperimentPlan(
+        name="snapshot-count",
+        scenario=ScenarioSpec(
+            name="snapshot-count",
+            bootstrap="random",
+            cycles=40,
+            events=(CatastrophicFailure(at_cycle=30, fraction=0.5),),
+        ),
+        scales=(
+            Scale(
+                name="cell",
+                n_nodes=150,
+                view_size=VIEW_SIZE,
+                cycles=40,
+                growth_cycles=1,
+                runs=1,
+                traced_nodes=1,
+                removal_repeats=1,
+                metrics_every=10,
+                clustering_sample=50,
+                path_sources=10,
+            ),
+        ),
+        engines=("fast",),
+        seeds=(SEED,),
+        measurements=("metrics", "dead-links", "degrees", "components"),
+    )
+    record = run_plan(plan, workers=1).records[0]
+    assert record.measurements["metrics"]["cycles"] == [10, 20, 30, 40]
+    assert len(built) == 4

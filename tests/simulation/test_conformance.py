@@ -301,7 +301,7 @@ def generated_cases(family, features, count=4):
         cycles, n_nodes = rng.randint(6, 12), rng.randint(20, 40)
         bootstrap = rng.choice(BOOTSTRAP_KINDS)
         events = []
-        if bootstrap == "empty" or rng.random() < 0.3:
+        if bootstrap == "empty":  # grow is valid on no other bootstrap
             events.append(Grow(target=n_nodes, per_cycle=rng.randint(3, 8)))
         if rng.random() < 0.5:
             events.append(CatastrophicFailure(

@@ -1,22 +1,7 @@
-"""Unit tests for the observer/recorder instrumentation."""
+"""Unit tests for the observer hooks (the measurements built on them are
+tested in ``tests/workloads/test_measure.py``)."""
 
-from repro.core.config import ProtocolConfig
-from repro.simulation.churn import massive_failure
-from repro.simulation.engine import CycleEngine
-from repro.simulation.scenarios import random_bootstrap
-from repro.simulation.trace import (
-    DeadLinkCensus,
-    DegreeTracer,
-    MetricsRecorder,
-    Observer,
-    ViewSizeRecorder,
-)
-
-
-def make_engine(c=5, seed=0):
-    return CycleEngine(
-        ProtocolConfig.from_label("(rand,head,pushpull)", c), seed=seed
-    )
+from repro.simulation.trace import Observer
 
 
 class TestObserverBase:
@@ -24,116 +9,3 @@ class TestObserverBase:
         observer = Observer()
         observer.before_cycle(None)
         observer.after_cycle(None)
-
-
-class TestMetricsRecorder:
-    def test_records_initial_and_per_cycle(self):
-        engine = make_engine()
-        random_bootstrap(engine, 30)
-        recorder = MetricsRecorder(every=1, clustering_sample=None, path_sources=None)
-        engine.add_observer(recorder)
-        engine.run(3)
-        assert recorder.cycles == [0, 1, 2, 3]
-        assert len(recorder.clustering) == 4
-        assert len(recorder.average_degree) == 4
-        assert len(recorder.average_path_length) == 4
-
-    def test_every_parameter_thins_recording(self):
-        engine = make_engine()
-        random_bootstrap(engine, 20)
-        recorder = MetricsRecorder(every=2, record_initial=False)
-        engine.add_observer(recorder)
-        engine.run(6)
-        assert recorder.cycles == [2, 4, 6]
-
-    def test_skip_initial_recording(self):
-        engine = make_engine()
-        random_bootstrap(engine, 20)
-        recorder = MetricsRecorder(every=1, record_initial=False)
-        engine.add_observer(recorder)
-        engine.run(2)
-        assert recorder.cycles == [1, 2]
-
-    def test_as_dict_round_trip(self):
-        engine = make_engine()
-        random_bootstrap(engine, 20)
-        recorder = MetricsRecorder(every=1)
-        engine.add_observer(recorder)
-        engine.run(1)
-        data = recorder.as_dict()
-        assert set(data) == {
-            "cycles",
-            "clustering",
-            "average_degree",
-            "average_path_length",
-        }
-        assert data["cycles"] == recorder.cycles
-
-    def test_metrics_are_plausible(self):
-        engine = make_engine(c=5)
-        random_bootstrap(engine, 50)
-        recorder = MetricsRecorder(every=1, clustering_sample=None, path_sources=None)
-        engine.add_observer(recorder)
-        engine.run(2)
-        assert 5 <= recorder.average_degree[-1] <= 10
-        assert 0 <= recorder.clustering[-1] <= 1
-        assert recorder.average_path_length[-1] > 1
-
-
-class TestDegreeTracer:
-    def test_traces_requested_nodes(self):
-        engine = make_engine()
-        addresses = random_bootstrap(engine, 30)
-        tracer = DegreeTracer(addresses[:3])
-        engine.add_observer(tracer)
-        engine.run(4)
-        matrix = tracer.matrix()
-        assert len(matrix) == 3
-        assert all(len(row) == 4 for row in matrix)
-        assert all(all(d >= 0 for d in row) for row in matrix)
-
-    def test_dead_nodes_marked_negative(self):
-        engine = make_engine()
-        addresses = random_bootstrap(engine, 20)
-        tracer = DegreeTracer(addresses[:2])
-        engine.add_observer(tracer)
-        engine.run(1)
-        engine.remove_node(addresses[0])
-        engine.run(1)
-        matrix = tracer.matrix()
-        assert matrix[0][-1] == -1
-        assert matrix[1][-1] >= 0
-
-
-class TestDeadLinkCensus:
-    def test_counts_after_failure(self):
-        engine = make_engine()
-        random_bootstrap(engine, 40)
-        census = DeadLinkCensus(every=1)
-        engine.add_observer(census)
-        engine.run(1)
-        assert census.dead_links[-1] == 0
-        massive_failure(engine, 0.5)
-        engine.run(1)
-        assert census.dead_links[-1] >= 0
-        assert census.cycles == [1, 2]
-
-    def test_every_parameter(self):
-        engine = make_engine()
-        random_bootstrap(engine, 10)
-        census = DeadLinkCensus(every=3)
-        engine.add_observer(census)
-        engine.run(7)
-        assert census.cycles == [3, 6]
-
-
-class TestViewSizeRecorder:
-    def test_records_fill_levels(self):
-        engine = make_engine(c=5)
-        random_bootstrap(engine, 20)
-        recorder = ViewSizeRecorder(every=1)
-        engine.add_observer(recorder)
-        engine.run(2)
-        assert recorder.cycles == [1, 2]
-        assert recorder.min_size[-1] <= recorder.mean_size[-1] <= recorder.max_size[-1]
-        assert recorder.max_size[-1] <= 5

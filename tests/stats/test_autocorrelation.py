@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 from repro.stats.autocorrelation import (
     autocorrelation,
-    autocorrelation_with_band,
     confidence_band,
-    dominant_period,
     fraction_outside_band,
 )
 
@@ -68,8 +66,9 @@ class TestAutocorrelation:
     def test_iid_series_stays_inside_band(self):
         rng = random.Random(42)
         series = [rng.gauss(0, 1) for _ in range(500)]
-        correlations, band = autocorrelation_with_band(series, 100)
-        outside = fraction_outside_band(correlations, band)
+        outside = fraction_outside_band(
+            autocorrelation(series, 100), confidence_band(len(series))
+        )
         # Under the null about 1% of lags leave a 99% band.
         assert outside < 0.08
 
@@ -102,14 +101,6 @@ class TestHelpers:
         assert fraction_outside_band(
             correlations, 0.5, skip_lag_zero=False
         ) == pytest.approx(0.5)
-
-    def test_dominant_period_of_sine(self):
-        series = [math.sin(2 * math.pi * t / 8) for t in range(80)]
-        assert dominant_period(autocorrelation(series, 20)) == 8
-
-    def test_dominant_period_no_peak(self):
-        assert dominant_period(np.array([1.0, -0.5, -0.2])) == 0
-        assert dominant_period([1.0]) == 0
 
 
 @given(

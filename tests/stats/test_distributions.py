@@ -1,11 +1,8 @@
 """Unit tests for distribution helpers."""
 
-import numpy as np
 import pytest
 
 from repro.stats.distributions import (
-    ccdf,
-    degree_distribution,
     distribution_span,
     histogram_dict,
     log_spaced_cycles,
@@ -13,35 +10,12 @@ from repro.stats.distributions import (
 )
 
 
-class TestDegreeDistribution:
-    def test_values_and_counts(self):
-        values, counts = degree_distribution([3, 1, 3, 3, 2])
-        assert list(values) == [1, 2, 3]
-        assert list(counts) == [1, 1, 3]
-
-    def test_empty(self):
-        values, counts = degree_distribution([])
-        assert values.size == 0
-        assert counts.size == 0
-
+class TestHistogramDict:
     def test_histogram_dict(self):
         assert histogram_dict([2, 2, 5]) == {2: 2, 5: 1}
 
-
-class TestCcdf:
-    def test_monotone_decreasing_from_one(self):
-        values, tail = ccdf([1, 2, 2, 3, 5])
-        assert tail[0] == pytest.approx(1.0)
-        assert all(np.diff(tail) <= 0)
-
-    def test_point_values(self):
-        values, tail = ccdf([1, 2, 3, 4])
-        assert list(values) == [1, 2, 3, 4]
-        assert list(tail) == pytest.approx([1.0, 0.75, 0.5, 0.25])
-
     def test_empty(self):
-        values, tail = ccdf([])
-        assert tail.size == 0
+        assert histogram_dict([]) == {}
 
 
 class TestLogSpacedCycles:

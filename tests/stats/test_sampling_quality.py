@@ -9,10 +9,7 @@ from repro.core.config import ProtocolConfig, newscast
 from repro.simulation.engine import CycleEngine
 from repro.simulation.scenarios import random_bootstrap
 from repro.stats.sampling_quality import (
-    SamplingQualityReport,
     chi_square_uniformity,
-    evaluate_sampling_quality,
-    repeat_probability,
     sample_frequencies,
     total_variation_from_uniform,
 )
@@ -26,19 +23,6 @@ class _FixedService:
 
     def get_peer(self):
         return self.peer
-
-
-class _CyclingService:
-    """Cycles deterministically through a list of peers."""
-
-    def __init__(self, peers):
-        self.peers = list(peers)
-        self.index = 0
-
-    def get_peer(self):
-        peer = self.peers[self.index % len(self.peers)]
-        self.index += 1
-        return peer
 
 
 class _EmptyService:
@@ -106,28 +90,6 @@ class TestTotalVariation:
             total_variation_from_uniform({}, ["a"])
 
 
-class TestRepeatProbability:
-    def test_fixed_service_always_repeats(self):
-        assert repeat_probability(_FixedService("a"), 50) == 1.0
-
-    def test_cycling_service_never_repeats_within_window(self):
-        service = _CyclingService(["a", "b", "c", "d"])
-        assert repeat_probability(service, 40, window=1) == 0.0
-
-    def test_window_widens_detection(self):
-        # Cycling a,b repeats at window 2 for every sample after the second
-        # (the first observed sample has only one predecessor).
-        service = _CyclingService(["a", "b"])
-        assert repeat_probability(service, 40, window=2) > 0.9
-
-    def test_empty_service(self):
-        assert repeat_probability(_EmptyService(), 10) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            repeat_probability(_FixedService("a"), 1)
-
-
 class TestDegenerateInputGuards:
     """Regression tests: degenerate inputs fail eagerly, not mid-sweep."""
 
@@ -136,27 +98,6 @@ class TestDegenerateInputGuards:
             sample_frequencies([_FixedService("a")], 0)
         with pytest.raises(ValueError, match="calls_per_service"):
             sample_frequencies([], -3)
-
-    def test_repeat_probability_rejects_bad_window(self):
-        with pytest.raises(ValueError, match="window"):
-            repeat_probability(_FixedService("a"), 10, window=0)
-
-    def test_evaluate_rejects_empty_service_mapping(self):
-        with pytest.raises(ValueError, match="at least one service"):
-            evaluate_sampling_quality({})
-
-    def test_evaluate_rejects_single_node_population(self):
-        with pytest.raises(ValueError, match="single-node"):
-            evaluate_sampling_quality({"only": _FixedService("only")})
-
-    def test_two_services_are_accepted(self):
-        services = {
-            "a": _FixedService("b"),
-            "b": _FixedService("a"),
-        }
-        report = evaluate_sampling_quality(services, calls_per_service=5)
-        assert report.n_population == 2
-        assert report.coverage == 1.0
 
 
 class TestCrossEngineAgreement:
@@ -188,45 +129,32 @@ class TestCrossEngineAgreement:
         assert cycle == fast
 
 
+def _quality(services, calls_per_service):
+    """``(normalized chi-square, total variation, coverage)`` of the
+    pooled ``get_peer`` stream of ``{address: service}``."""
+    population = list(services)
+    counts = sample_frequencies(list(services.values()), calls_per_service)
+    covered = sum(1 for a in population if counts.get(a, 0) > 0)
+    return (
+        chi_square_uniformity(counts, population),
+        total_variation_from_uniform(counts, population),
+        covered / len(population),
+    )
+
+
 class TestEndToEnd:
     def test_oracle_sampling_is_nearly_uniform(self):
         group = OracleGroup(seed=1)
         addresses = [f"n{i}" for i in range(60)]
-        services = {a: group.service(a) for a in addresses}
-        report = evaluate_sampling_quality(services, calls_per_service=40)
-        assert isinstance(report, SamplingQualityReport)
-        assert report.normalized_chi_square < 2.0
-        assert report.total_variation < 0.15
-        assert report.coverage == 1.0
-        # Uniform sampling over 59 peers: immediate repeats are rare.
-        assert report.repeat_probability_window1 < 0.15
-
-    def test_gossip_sampling_is_visibly_non_uniform(self):
-        # The paper's core result, at the API level: a gossip-backed
-        # service shows more temporal correlation than the oracle (samples
-        # come from a c-sized view, not the whole population).
-        engine = CycleEngine(newscast(view_size=10), seed=2)
-        random_bootstrap(engine, 60)
-        engine.run(25)
-        services = {a: engine.service(a) for a in engine.addresses()}
-        gossip = evaluate_sampling_quality(services, calls_per_service=40)
-
-        group = OracleGroup(seed=3)
-        oracle_services = {
-            a: group.service(a) for a in engine.addresses()
-        }
-        oracle = evaluate_sampling_quality(
-            oracle_services, calls_per_service=40
+        chi, tv, coverage = _quality(
+            {a: group.service(a) for a in addresses}, calls_per_service=40
         )
-        assert (
-            gossip.repeat_probability_window1
-            > 2 * oracle.repeat_probability_window1
-        )
-        assert gossip.coverage == 1.0
+        assert chi < 2.0
+        assert tv < 0.15
+        assert coverage == 1.0
 
-    def test_protocols_cover_the_population_but_repeat_themselves(self):
-        # Every studied service reaches (almost) every node, yet repeats
-        # far more often than independent uniform draws; head view
+    def test_protocols_cover_the_population_head_balances_hits(self):
+        # Every studied service reaches (almost) every node; head view
         # selection balances the hit distribution better than rand.
         labels = (
             "(rand,head,pushpull)",
@@ -240,20 +168,10 @@ class TestEndToEnd:
             random_bootstrap(engine, 300)
             engine.run(40)
             services = {a: engine.service(a) for a in engine.addresses()}
-            reports[label] = evaluate_sampling_quality(
-                services, calls_per_service=20
-            )
-        group = OracleGroup(seed=7)
-        oracle = evaluate_sampling_quality(
-            {i: group.service(i) for i in range(300)}, calls_per_service=20
-        )
-        for label, report in reports.items():
-            assert report.coverage >= 0.9, label
-            assert (
-                report.repeat_probability_window1
-                > 2 * oracle.repeat_probability_window1
-            ), label
+            reports[label] = _quality(services, calls_per_service=20)
+        for label, (_, _, coverage) in reports.items():
+            assert coverage >= 0.9, label
         head = reports["(rand,head,pushpull)"]
         rand = reports["(rand,rand,pushpull)"]
-        assert head.normalized_chi_square < rand.normalized_chi_square
-        assert head.coverage >= rand.coverage
+        assert head[0] < rand[0]
+        assert head[2] >= rand[2]

@@ -1,7 +1,6 @@
-"""Unit tests for running statistics and the Table 2 summary."""
+"""Unit tests for the Table 2 summary."""
 
 import math
-import random
 
 import numpy as np
 import pytest
@@ -10,46 +9,8 @@ from hypothesis import strategies as st
 
 from repro.stats.summary import (
     DegreeDynamics,
-    RunningStats,
     degree_dynamics_summary,
 )
-
-
-class TestRunningStats:
-    def test_empty(self):
-        stats = RunningStats()
-        assert stats.count == 0
-        assert math.isnan(stats.mean)
-        assert math.isnan(stats.variance)
-
-    def test_single_value(self):
-        stats = RunningStats()
-        stats.add(4.0)
-        assert stats.mean == 4.0
-        assert math.isnan(stats.variance)
-        assert stats.min == stats.max == 4.0
-
-    def test_matches_numpy(self):
-        rng = random.Random(1)
-        values = [rng.uniform(-100, 100) for _ in range(500)]
-        stats = RunningStats()
-        stats.extend(values)
-        assert stats.mean == pytest.approx(np.mean(values))
-        assert stats.variance == pytest.approx(np.var(values, ddof=1))
-        assert stats.std == pytest.approx(np.std(values, ddof=1))
-        assert stats.min == min(values)
-        assert stats.max == max(values)
-
-    def test_numerical_stability_with_large_offset(self):
-        stats = RunningStats()
-        offset = 1e9
-        stats.extend([offset + x for x in (1.0, 2.0, 3.0)])
-        assert stats.variance == pytest.approx(1.0)
-
-    def test_repr(self):
-        stats = RunningStats()
-        stats.add(1.0)
-        assert "count=1" in repr(stats)
 
 
 class TestDegreeDynamicsSummary:

@@ -82,3 +82,20 @@ def test_declarative_workflow():
     runtime.run_to_end()
     assert runtime.engine.cycle == 5
     assert len(runtime.engine) == 50
+
+
+def test_importing_repro_leaves_the_graph_stack_unloaded():
+    # Every spawned worker (plan pools, shard workers) imports repro; the
+    # graph stack pulls in scipy, which measurements import on first use.
+    import subprocess
+    import sys
+
+    probe = (
+        "import sys, repro; "
+        "print(sorted(m for m in ('repro.graph', 'scipy') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"

@@ -50,6 +50,10 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="unknown measurement"):
             small_plan(measurements=("vibes",))
 
+    def test_repeated_measurement_rejected(self):
+        with pytest.raises(ConfigurationError, match="distinct"):
+            small_plan(measurements=("metrics", "dead-links", "metrics"))
+
     def test_bad_protocol_label(self):
         with pytest.raises(ConfigurationError, match="label"):
             small_plan(protocols=("(rand,psychic,pushpull)",))

@@ -57,6 +57,19 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="grow"):
             ScenarioSpec(bootstrap="empty")
 
+    @pytest.mark.parametrize("kind", ["random", "lattice"])
+    def test_grow_requires_empty_bootstrap(self, kind):
+        # Growing beside a populated bootstrap would build a second,
+        # disjoint overlay (two components), so the spec refuses it.
+        with pytest.raises(ConfigurationError, match="'empty' bootstrap"):
+            ScenarioSpec(
+                bootstrap=kind, events=(Grow(target=60, per_cycle=5),)
+            )
+        with pytest.raises(ConfigurationError, match="'empty' bootstrap"):
+            ScenarioSpec.from_dict(
+                {"bootstrap": kind, "events": [{"kind": "grow"}]}
+            )
+
     def test_fraction_out_of_range(self):
         with pytest.raises(ConfigurationError, match="fraction"):
             CatastrophicFailure(at_cycle=1, fraction=1.5)

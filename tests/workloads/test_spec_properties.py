@@ -97,7 +97,10 @@ def gen_valid_payload(rng):
     """One random valid spec document (a plain JSON-ready mapping)."""
     bootstrap = rng.choice(BOOTSTRAP_KINDS)
     events = []
-    generators = [_gen_grow, _gen_failure, _gen_churn, _gen_trace]
+    # grow is valid on the empty bootstrap only, and required there.
+    generators = [_gen_failure, _gen_churn, _gen_trace]
+    if bootstrap == "empty":
+        generators.append(_gen_grow)
     for _ in range(rng.randrange(0, 5)):
         events.append(rng.choice(generators)(rng))
     events.extend(_gen_partition_pairs(rng))
