@@ -2,6 +2,7 @@
 and how many snapshots one run builds."""
 
 import dataclasses
+import json
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from repro.graph.metrics import topology_metrics
 from repro.graph.snapshot import GraphSnapshot
 from repro.workloads import (
     MEASUREMENTS,
+    AdversarySpec,
     CatastrophicFailure,
     ScenarioSpec,
     measure,
@@ -199,3 +201,67 @@ class TestOneInstant:
         preset = scale(cycles=3)
         shared = run(names, preset)
         assert shared == {name: run((name,), preset)[name] for name in names}
+
+
+class TestEveryEntry:
+    """Each entry of the vocabulary, over a run that gives every one of
+    them something to read: an eclipse adversary and a crash."""
+
+    PRESET = scale(
+        n_nodes=40,
+        view_size=6,
+        cycles=6,
+        metrics_every=2,
+        clustering_sample=15,
+        path_sources=6,
+    )
+    SPEC = ScenarioSpec(
+        name="every-entry",
+        bootstrap="random",
+        events=(CatastrophicFailure(at_cycle=3, fraction=0.3),),
+        adversary=AdversarySpec(
+            kind="eclipse", fraction=0.1, victims=(0, 1, 2), start_cycle=1
+        ),
+    )
+
+    def results(self, names, engine="cycle"):
+        runtime = prepare_run(
+            self.SPEC,
+            ProtocolConfig.from_label("(rand,head,pushpull)", 6),
+            scale=self.PRESET,
+            seed=4,
+            engine=engine,
+        )
+        extract = measure(runtime, names, self.PRESET)
+        runtime.run_to_end()
+        return extract()
+
+    @pytest.mark.parametrize("name", sorted(MEASUREMENTS))
+    @pytest.mark.parametrize(
+        "reference, engine",
+        [("cycle", "fast"), ("event", "fast-event")],
+        ids=["cycle-family", "event-family"],
+    )
+    def test_reads_alike_on_both_engines_of_a_family(
+        self, name, reference, engine
+    ):
+        expected = self.results((name,), reference)
+        assert self.results((name,), engine) == expected
+
+    @pytest.mark.parametrize("name", sorted(MEASUREMENTS))
+    def test_result_survives_a_json_round_trip(self, name):
+        # Plan records carry the results as JSON.
+        result = self.results((name,))[name]
+        assert json.loads(json.dumps(result)) == result
+
+    @pytest.mark.parametrize("name", sorted(MEASUREMENTS))
+    def test_reads_alike_alone_and_first_among_the_others(self, name):
+        # Readings never mutate the overlay, and "metrics" is the only
+        # per-cycle entry that draws from the engine RNG; without it
+        # among the others, an entry named first reads the run it would
+        # read alone, from the instants the others share.
+        others = tuple(
+            other for other in MEASUREMENTS if other not in (name, "metrics")
+        )
+        shared = self.results((name,) + others)
+        assert shared[name] == self.results((name,))[name]
