@@ -20,9 +20,7 @@ the honest protocol code:
   :class:`~repro.net.engine.LiveEngine`, one hook policy
   (:class:`~repro.adversary.harness.IndexedAdversary`) on the exchange
   steps of :class:`~repro.simulation.fast.FastCycleEngine` and
-  :class:`~repro.simulation.fast_event.FastEventEngine`, and a
-  wire-level :class:`~repro.adversary.harness.NetworkInterceptor` for
-  the loopback transport.
+  :class:`~repro.simulation.fast_event.FastEventEngine`.
 
 Scenario specs opt in through their ``adversary`` block
 (:class:`~repro.workloads.spec.AdversarySpec`); the damage is quantified
@@ -42,9 +40,7 @@ from repro.adversary.harness import (
     AdversaryHandle,
     AttackWindow,
     IndexedAdversary,
-    NetworkInterceptor,
     install_adversary,
-    intercept_network,
     place_attackers,
 )
 
@@ -54,8 +50,6 @@ __all__ = [
     "AdversaryState",
     "AttackWindow",
     "IndexedAdversary",
-    "NetworkInterceptor",
     "install_adversary",
-    "intercept_network",
     "place_attackers",
 ]

@@ -19,31 +19,18 @@
   while the attack window is open and their honest backends, C core
   included, whenever it is closed; there is no adversarial copy of
   either engine's loop.
-
-:class:`NetworkInterceptor` (via :func:`intercept_network`) is the
-wire-level alternative for the live layer: it hooks
-:meth:`~repro.net.transport.LoopbackNetwork.deliver` and rewrites or
-drops attacker-sent *datagrams* (decode, forge, re-encode),
-demonstrating that the attacks need no cooperation from the node
-software at all.  The engine installers use node wrapping
-because it preserves cross-engine byte-identity; the interceptor is for
-transport-focused tests and demos.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
-from struct import error as struct_error
 from typing import List, Tuple
 
 from repro.adversary.behaviors import AdversarialNode, AdversaryState
-from repro.core.codec import CodecError, decode_frame, encode_message
-from repro.core.descriptor import Address, NodeDescriptor
+from repro.core.descriptor import Address
 from repro.core.errors import ConfigurationError
-from repro.net.daemon import _ENVELOPE, _KIND_REPLY
 from repro.net.engine import LiveEngine
-from repro.net.transport import LoopbackNetwork
 from repro.simulation.arrayviews import FlatArrayEngine
 from repro.simulation.trace import Observer
 from repro.workloads.spec import AdversarySpec
@@ -52,9 +39,7 @@ __all__ = [
     "AdversaryHandle",
     "AttackWindow",
     "IndexedAdversary",
-    "NetworkInterceptor",
     "install_adversary",
-    "intercept_network",
     "place_attackers",
 ]
 
@@ -254,69 +239,3 @@ class IndexedAdversary:
             return ids, hops  # answering a non-victim: stay honest
         ids = list(self._adverts[sender])
         return ids, [1] * len(ids)
-
-
-class NetworkInterceptor:
-    """A man-in-the-middle on a :class:`LoopbackNetwork`.
-
-    Rewrites (or swallows) datagrams *sent by attackers* while the
-    attack window is active: the codec frame is decoded, forged
-    according to the spec kind, and re-encoded; unparsable data passes
-    through untouched.  Install via
-    :func:`intercept_network`, remove with :meth:`uninstall`.
-    """
-
-    def __init__(self, network: LoopbackNetwork, state: AdversaryState) -> None:
-        self.network = network
-        self.state = state
-        self.forwarded = 0
-        self.rewritten = 0
-        self.dropped = 0
-        self._original = network.deliver
-        network.deliver = self.deliver  # type: ignore[method-assign]
-
-    def uninstall(self) -> None:
-        """Restore the network's own ``deliver`` (idempotent)."""
-        try:
-            del self.network.deliver  # type: ignore[attr-defined]
-        except AttributeError:
-            pass
-
-    def deliver(
-        self, sender: Address, destination: Address, data: bytes
-    ) -> None:
-        state = self.state
-        if not state.active or sender not in state.attacker_set:
-            self.forwarded += 1
-            return self._original(sender, destination, data)
-        kind = state.spec.kind
-        if kind == "drop":
-            self.dropped += 1
-            return None
-        try:
-            kind_byte, exchange_id = _ENVELOPE.unpack_from(data, 0)
-            _, payload = decode_frame(bytes(data[_ENVELOPE.size:]))
-        except (CodecError, struct_error):
-            # Not a gossip frame (or truncated): forward untouched.
-            self.forwarded += 1
-            return self._original(sender, destination, data)
-        if kind == "tamper":
-            payload = [NodeDescriptor(d.address, 0) for d in payload]
-        elif kind == "hub":
-            payload = state.poison_payload(sender)
-        else:  # eclipse: only replies to victims are forged
-            if kind_byte != _KIND_REPLY or destination not in state.victim_set:
-                self.forwarded += 1
-                return self._original(sender, destination, data)
-            payload = state.poison_payload(sender)
-        self.rewritten += 1
-        envelope = _ENVELOPE.pack(kind_byte, exchange_id)
-        frame = envelope + encode_message(payload)
-        return self._original(sender, destination, frame)
-
-
-def intercept_network(
-    network: LoopbackNetwork, state: AdversaryState
-) -> NetworkInterceptor:
-    """Install a :class:`NetworkInterceptor` on ``network``."""
-    return NetworkInterceptor(network, state)

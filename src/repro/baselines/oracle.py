@@ -38,7 +38,7 @@ class OracleGroup:
     def __contains__(self, address: Address) -> bool:
         return address in self._members
 
-    def members(self) -> List[Address]:
+    def addresses(self) -> List[Address]:
         """All current members."""
         return list(self._order)
 

@@ -55,21 +55,16 @@ def _run_one(config, scenario: str, scale: Scale, seed: int) -> MetricSeries:
         # interesting transient); we mirror that 1/3 proportion.
         cycles=max(scale.cycles // 3, 3 * scale.metrics_every),
     )
-    # The series opens with the bootstrap overlay as its cycle-0 row (the
-    # spec has no events, so nothing else runs first).  The event family
-    # first calls its observers at the cycle-1 boundary, so its series
-    # starts at the first sampled cycle.
-    initial = (
-        read_now(runtime, "metrics", scale)
-        if runtime.engine.family != "event"
-        else {}
-    )
+    # The series opens with the bootstrap overlay as its cycle-0 row on
+    # every engine family (the spec has no events, so nothing else runs
+    # first).
+    initial = read_now(runtime, "metrics", scale)
     extract = measure(runtime, ("metrics",), scale)
     runtime.run_to_end()
     metrics = extract()["metrics"]
     return MetricSeries(
         label=config.label,
-        **{key: initial.get(key, []) + metrics[key] for key in metrics},
+        **{key: initial[key] + metrics[key] for key in metrics},
     )
 
 

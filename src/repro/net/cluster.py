@@ -41,6 +41,7 @@ from repro.core.config import NetworkConfig, ProtocolConfig
 from repro.core.descriptor import Address, NodeDescriptor
 from repro.core.errors import ConfigurationError, NodeNotFoundError
 from repro.core.protocol import GossipNode
+from repro.core.service import PeerSamplingService
 from repro.graph.metrics import topology_metrics
 from repro.graph.snapshot import GraphSnapshot, view_edge_arrays
 from repro.net.daemon import GossipDaemon
@@ -408,6 +409,10 @@ class LocalCluster:
     def addresses(self) -> List[Address]:
         """Live daemon addresses, in boot order."""
         return list(self.daemons)
+
+    def service(self, address: Address) -> PeerSamplingService:
+        """The daemon's own service for ``address`` (shares its view lock)."""
+        return self.daemons[address].service
 
     def __len__(self) -> int:
         return len(self.daemons)

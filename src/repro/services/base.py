@@ -26,7 +26,7 @@ measured quantity instead of a KeyError.
 
 from __future__ import annotations
 
-from typing import Dict, List, Protocol, Sequence
+from typing import Dict, List, Protocol
 
 from repro.core.descriptor import Address
 
@@ -43,30 +43,15 @@ class SamplingService(Protocol):
 def sampling_services(source) -> Dict[Address, SamplingService]:
     """Build the ``address -> sampling service`` mapping for ``source``.
 
-    ``source`` may be any engine of the registry (``service(address)``
-    per live address), a :class:`~repro.net.cluster.LocalCluster`
-    (``daemon.service`` per daemon -- the handles used by the daemons'
-    own gossip loops, so application draws serialize on the same lock),
-    or an :class:`~repro.baselines.oracle.OracleGroup` (``members()``
-    plus ``service(address)``).  The mapping's iteration order is the
-    substrate's address order, which is what makes service runs
-    deterministic for a fixed seed.
+    ``source`` is any substrate with ``addresses()`` and
+    ``service(address)``: an engine of the registry, a
+    :class:`~repro.net.cluster.LocalCluster` (each daemon's own service
+    -- the handle its gossip loop uses, so application draws serialize
+    on the same lock) or an :class:`~repro.baselines.oracle.OracleGroup`.
+    The mapping's iteration order is the substrate's address order,
+    which is what makes service runs deterministic for a fixed seed.
     """
-    daemons = getattr(source, "daemons", None)
-    if isinstance(daemons, dict):
-        return {
-            address: daemon.service for address, daemon in daemons.items()
-        }
-    if hasattr(source, "addresses"):
-        addresses: Sequence[Address] = source.addresses()
-    elif hasattr(source, "members"):
-        addresses = source.members()
-    else:
-        raise TypeError(
-            f"cannot derive sampling services from {type(source).__name__}: "
-            "expected an engine, a LocalCluster or an OracleGroup"
-        )
-    return {address: source.service(address) for address in addresses}
+    return {address: source.service(address) for address in source.addresses()}
 
 
 def participant_list(services) -> List[Address]:

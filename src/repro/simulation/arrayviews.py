@@ -121,11 +121,13 @@ _HEAD = PeerSelection.HEAD
 
 
 class FastViewProxy:
-    """A ``PartialView``-compatible window onto one node's view row.
+    """One node's view row behind the node contract: a ``capacity``, a
+    size, iteration in hop-count order and a validating :meth:`replace`.
 
-    Reads materialize :class:`NodeDescriptor` objects on demand; writes go
-    straight back into the engine's flat arrays.  Only the introspection /
-    bootstrap paths use this class -- the exchange hot paths never do.
+    Iteration materializes :class:`NodeDescriptor` objects on demand;
+    :meth:`replace` writes straight back into the engine's flat arrays.
+    Only the bootstrap / introspection paths use this class -- the
+    exchange hot paths never do.
     """
 
     __slots__ = ("_engine", "_id")
@@ -147,8 +149,6 @@ class FastViewProxy:
         base = row * engine.config.view_size
         return base, base + engine._vlen[row]
 
-    # -- read access ------------------------------------------------------
-
     def __len__(self) -> int:
         base, end = self._bounds()
         return end - base
@@ -160,78 +160,6 @@ class FastViewProxy:
             yield NodeDescriptor(
                 engine._addr_of[engine._vids[k]], engine._vhops[k]
             )
-
-    def __contains__(self, address: Address) -> bool:
-        peer = self._engine._id_of.get(address)
-        if peer is None:
-            return False
-        base, end = self._bounds()
-        return peer in self._engine._vids[base:end]
-
-    def __repr__(self) -> str:
-        return (
-            f"FastViewProxy(capacity={self.capacity}, size={len(self)})"
-        )
-
-    @property
-    def entries(self) -> List[NodeDescriptor]:
-        """Fresh descriptors for the current entries, hop-count ordered."""
-        return list(self)
-
-    def addresses(self) -> List[Address]:
-        """All addresses currently in the view, in hop-count order."""
-        engine = self._engine
-        base, end = self._bounds()
-        addr_of = engine._addr_of
-        return [addr_of[i] for i in engine._vids[base:end]]
-
-    def descriptor_for(self, address: Address) -> Optional[NodeDescriptor]:
-        """The descriptor stored for ``address``, or ``None``."""
-        for descriptor in self:
-            if descriptor.address == address:
-                return descriptor
-        return None
-
-    def is_full(self) -> bool:
-        """Whether the view holds ``capacity`` descriptors."""
-        return len(self) >= self.capacity
-
-    def head(self) -> Optional[NodeDescriptor]:
-        """The descriptor with the lowest hop count, or ``None`` if empty."""
-        base, end = self._bounds()
-        if base == end:
-            return None
-        engine = self._engine
-        return NodeDescriptor(
-            engine._addr_of[engine._vids[base]], engine._vhops[base]
-        )
-
-    def tail(self) -> Optional[NodeDescriptor]:
-        """The descriptor with the highest hop count, or ``None`` if empty."""
-        base, end = self._bounds()
-        if base == end:
-            return None
-        engine = self._engine
-        return NodeDescriptor(
-            engine._addr_of[engine._vids[end - 1]], engine._vhops[end - 1]
-        )
-
-    def random_entry(self, rng: random.Random) -> Optional[NodeDescriptor]:
-        """A uniformly random descriptor, or ``None`` if empty.
-
-        Consumes exactly one ``_randbelow`` draw, like
-        ``random.Random.choice`` on the reference view's entry list.
-        """
-        base, end = self._bounds()
-        if base == end:
-            return None
-        engine = self._engine
-        k = base + rng.randrange(end - base)
-        return NodeDescriptor(
-            engine._addr_of[engine._vids[k]], engine._vhops[k]
-        )
-
-    # -- mutation ---------------------------------------------------------
 
     def replace(self, entries: Iterable[NodeDescriptor]) -> None:
         """Adopt ``entries`` as the new view content (bootstrap path).
@@ -261,44 +189,14 @@ class FastViewProxy:
             vhops[base + k] = descriptor.hop_count
         engine._vlen[row] = len(merged)
 
-    def increase_hop_counts(self) -> None:
-        """Increment every stored entry's hop count in place."""
-        base, end = self._bounds()
-        vhops = self._engine._vhops
-        for k in range(base, end):
-            vhops[k] += 1
-
-    def remove(self, address: Address) -> bool:
-        """Drop the descriptor for ``address``; return whether it existed."""
-        engine = self._engine
-        peer = engine._id_of.get(address)
-        if peer is None:
-            return False
-        base, end = self._bounds()
-        vids = engine._vids
-        for k in range(base, end):
-            if vids[k] == peer:
-                row = engine._row_of[self._id]
-                vids[k:end - 1] = vids[k + 1:end]
-                engine._vhops[k:end - 1] = engine._vhops[k + 1:end]
-                engine._vlen[row] -= 1
-                return True
-        return False
-
-    def clear(self) -> None:
-        """Remove every descriptor."""
-        engine = self._engine
-        row = engine._row_of[self._id]
-        if row >= 0:
-            engine._vlen[row] = 0
-
 
 class FastNode:
-    """A ``GossipNode``-shaped handle onto one live node of the engine.
+    """The node contract over one live node of the engine: its
+    ``address``, its ``view`` and the ``getPeer`` draw.
 
-    Supports everything the population-level consumers need --
-    ``PeerSamplingService``, the bootstrap scenarios, the observers --
-    without holding any per-node state of its own.
+    That is all ``PeerSamplingService``, the bootstrap scenarios and the
+    measurements read of a node; the handle holds no per-node state of
+    its own.
     """
 
     __slots__ = ("_engine", "address", "view")
@@ -308,29 +206,20 @@ class FastNode:
         self.address = engine._addr_of[node_id]
         self.view = FastViewProxy(engine, node_id)
 
-    @property
-    def config(self) -> ProtocolConfig:
-        """The protocol instance every node of the engine runs."""
-        return self._engine.config
-
-    @property
-    def liveness(self):
-        """The engine's membership test (see ``GossipNode.liveness``)."""
-        if self._engine.omniscient_peer_selection:
-            return self._engine.is_alive
-        return None
-
     def sample_peer(self) -> Optional[Address]:
-        """A uniform random address from the current view (``getPeer``)."""
-        entry = self.view.random_entry(self._engine.rng)
-        return None if entry is None else entry.address
+        """A uniform random address from the current view (``getPeer``).
 
-    def __repr__(self) -> str:
-        return (
-            f"FastNode(address={self.address!r}, "
-            f"protocol={self._engine.config.label}, "
-            f"view_size={len(self.view)})"
-        )
+        Reads the view row directly and consumes exactly one
+        ``_randbelow`` draw, like ``random.Random.choice`` on the
+        reference view's entry list.
+        """
+        base, end = self.view._bounds()
+        if base == end:
+            return None
+        engine = self._engine
+        return engine._addr_of[
+            engine._vids[base + engine.rng.randrange(end - base)]
+        ]
 
 
 class FlatArrayEngine(BaseEngine):
@@ -569,10 +458,6 @@ class FlatArrayEngine(BaseEngine):
         """All live node addresses, in insertion order."""
         addr_of = self._addr_of
         return [addr_of[i] for i in self._live]
-
-    def nodes(self) -> List[FastNode]:
-        """Lightweight handles for all live nodes, in insertion order."""
-        return [FastNode(self, i) for i in self._live]
 
     def node(self, address: Address) -> FastNode:
         """A handle for the live node at ``address`` (raises if absent)."""

@@ -150,8 +150,8 @@ class BaseEngine:
         return list(self._nodes)
 
     def nodes(self) -> List[GossipNode]:
-        """All live node objects, in insertion order."""
-        return list(self._nodes.values())
+        """:meth:`node` of every live address, in insertion order."""
+        return [self.node(address) for address in self.addresses()]
 
     def node(self, address: Address) -> GossipNode:
         """The live node at ``address`` (raises if absent)."""

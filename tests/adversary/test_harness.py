@@ -1,19 +1,9 @@
-"""Placement, attack window, installation dispatch, and the interceptor."""
-
-import random
+"""Placement, attack window and installation dispatch."""
 
 import pytest
 
-from repro.adversary import (
-    AdversaryState,
-    NetworkInterceptor,
-    intercept_network,
-    place_attackers,
-)
-from repro.core.codec import decode_frame, encode_message
-from repro.core.descriptor import NodeDescriptor
+from repro.adversary import place_attackers
 from repro.core.errors import ConfigurationError
-from repro.net.daemon import _ENVELOPE, _KIND_REPLY, _KIND_REQUEST
 from repro.workloads import (
     AdversarySpec,
     ScenarioSpec,
@@ -193,112 +183,3 @@ class TestInstallation:
             prepare_run(
                 spec, CONFIG, n_nodes=20, seed=1, engine="fast-sharded"
             )
-
-
-class _StubNetwork:
-    """Deliver-recording stand-in for LoopbackNetwork."""
-
-    def __init__(self):
-        self.sent = []
-
-    def deliver(self, sender, destination, data):
-        self.sent.append((sender, destination, bytes(data)))
-
-
-def make_state(kind, victims=()):
-    state = AdversaryState(
-        AdversarySpec(
-            kind=kind,
-            attackers=(0,),
-            victims=(1,) if kind == "eclipse" else (),
-        ),
-        ("atk0", "atk1"),
-        victims,
-        rng=random.Random(0),
-        is_alive=lambda address: True,
-        view_size=6,
-    )
-    state.active = True
-    return state
-
-
-def frame(kind_byte, payload, exchange_id=9):
-    return _ENVELOPE.pack(kind_byte, exchange_id) + encode_message(payload)
-
-
-class TestNetworkInterceptor:
-    PAYLOAD = [NodeDescriptor("honest", 3)]
-
-    def decode(self, data):
-        _, payload = decode_frame(bytes(data[_ENVELOPE.size:]))
-        return payload
-
-    def test_honest_sender_forwarded(self):
-        network = _StubNetwork()
-        interceptor = intercept_network(network, make_state("hub"))
-        data = frame(_KIND_REQUEST, self.PAYLOAD)
-        network.deliver("honest0", "dst", data)
-        assert network.sent == [("honest0", "dst", data)]
-        assert interceptor.forwarded == 1 and interceptor.rewritten == 0
-
-    def test_hub_rewrites_attacker_datagrams(self):
-        network = _StubNetwork()
-        interceptor = intercept_network(network, make_state("hub"))
-        network.deliver("atk0", "dst", frame(_KIND_REQUEST, self.PAYLOAD))
-        assert interceptor.rewritten == 1
-        (_, _, rewritten), = network.sent
-        assert [d.address for d in self.decode(rewritten)] == ["atk0", "atk1"]
-
-    def test_drop_swallows(self):
-        network = _StubNetwork()
-        interceptor = intercept_network(network, make_state("drop"))
-        network.deliver("atk0", "dst", frame(_KIND_REQUEST, self.PAYLOAD))
-        assert network.sent == []
-        assert interceptor.dropped == 1
-
-    def test_tamper_zeroes_hops_keeps_membership(self):
-        network = _StubNetwork()
-        intercept_network(network, make_state("tamper"))
-        network.deliver("atk0", "dst", frame(_KIND_REQUEST, self.PAYLOAD))
-        (_, _, rewritten), = network.sent
-        payload = self.decode(rewritten)
-        assert [d.address for d in payload] == ["honest"]
-        assert payload[0].hop_count == 0
-
-    def test_eclipse_forges_only_replies_to_victims(self):
-        network = _StubNetwork()
-        interceptor = intercept_network(
-            network, make_state("eclipse", victims=("vic0",))
-        )
-        network.deliver("atk0", "vic0", frame(_KIND_REQUEST, self.PAYLOAD))
-        network.deliver("atk0", "other", frame(_KIND_REPLY, self.PAYLOAD))
-        network.deliver("atk0", "vic0", frame(_KIND_REPLY, self.PAYLOAD))
-        assert interceptor.forwarded == 2 and interceptor.rewritten == 1
-        forged = self.decode(network.sent[-1][2])
-        assert [d.address for d in forged] == ["atk0", "atk1"]
-
-    def test_inactive_window_forwards_everything(self):
-        state = make_state("hub")
-        state.active = False
-        network = _StubNetwork()
-        interceptor = intercept_network(network, state)
-        data = frame(_KIND_REQUEST, self.PAYLOAD)
-        network.deliver("atk0", "dst", data)
-        assert network.sent == [("atk0", "dst", data)]
-        assert interceptor.rewritten == 0
-
-    def test_unparsable_data_forwarded_untouched(self):
-        network = _StubNetwork()
-        interceptor = intercept_network(network, make_state("hub"))
-        network.deliver("atk0", "dst", b"\x01")
-        assert network.sent == [("atk0", "dst", b"\x01")]
-        assert interceptor.forwarded == 1
-
-    def test_uninstall_restores_deliver(self):
-        network = _StubNetwork()
-        interceptor = intercept_network(network, make_state("hub"))
-        interceptor.uninstall()
-        interceptor.uninstall()  # idempotent
-        network.deliver("atk0", "dst", frame(_KIND_REQUEST, self.PAYLOAD))
-        assert len(network.sent) == 1  # original path, no rewrite
-        assert interceptor.rewritten == 0

@@ -30,7 +30,7 @@ class TestOracleGroup:
             group.join(member)
         group.leave("b")
         assert "b" not in group
-        assert set(group.members()) == {"a", "c"}
+        assert set(group.addresses()) == {"a", "c"}
 
     def test_leave_unknown_raises(self):
         with pytest.raises(NodeNotFoundError):

@@ -5,6 +5,7 @@ benchmarks do that at larger scales); they verify that each experiment
 module's ``run``/``report`` pipeline is wired correctly.
 """
 
+import dataclasses
 import importlib
 
 import pytest
@@ -64,12 +65,17 @@ def test_figure2_series_structure():
     }
 
 
-def test_figure3_covers_both_scenarios():
+@pytest.mark.parametrize("engine", ["cycle", "fast", "event", "fast-event"])
+def test_figure3_covers_both_scenarios(engine):
     from repro.experiments import figure3
 
-    result = figure3.run(scale=TINY, seed=0)
+    scale = dataclasses.replace(TINY, default_engine=engine)
+    result = figure3.run(scale=scale, seed=0)
     assert set(result.series) == {"lattice", "random"}
     assert len(result.series["lattice"]) == 8
+    # Every engine family opens with the bootstrap overlay's cycle-0 row.
+    for runs in result.series.values():
+        assert all(s.cycles == [0, 4, 8, 12] for s in runs)
 
 
 def test_figure4_checkpoints():

@@ -10,7 +10,7 @@ must equal the run of its family's reference (:data:`REFERENCES`):
 
 - the overlay digest after every cycle;
 - the exchange counters, and the message counters on the event family;
-- one ``get_peer()`` draw per live node through
+- :data:`DRAWS` ``get_peer()`` draws per live node through
   :func:`repro.services.sampling_services`, the only call the services
   make;
 - then ``rng.getstate()``, where the family shares one MT stream.
@@ -78,6 +78,8 @@ from repro.workloads import (
 )
 
 HAVE_ACCEL = load_accelerator() is not None
+DRAWS = 3
+"""``get_peer()`` draws per live node: repeated draws on one view row."""
 SHARD_COUNTS = (1, 2, 3)
 VIEW_SIZE = 6
 
@@ -396,7 +398,8 @@ def run_row(row, case):
             outcome["messages"] = (engine.messages_sent,
                                    engine.messages_lost)
         outcome["draws"] = [
-            service.get_peer() if service.initialized else None
+            [service.get_peer() for _ in range(DRAWS)]
+            if service.initialized else None
             for service in sampling_services(engine).values()
         ]
         if row.family in SHARED_MT:

@@ -15,6 +15,8 @@ from repro.core.errors import (
     NodeNotFoundError,
     ViewError,
 )
+from repro.experiments.common import ENGINES
+from repro.experiments.common import make_engine as make_registry_engine
 from repro.simulation._fastcore import load_accelerator
 from repro.simulation.fast import FastCycleEngine, FastNode
 from repro.simulation.scenarios import random_bootstrap
@@ -111,7 +113,7 @@ class TestPopulation:
         engine = make_engine()
         engine.add_node("hub")
         joiner = engine.add_node(contacts=["hub"])
-        assert engine.node(joiner).view.addresses() == ["hub"]
+        assert [d.address for d in engine.node(joiner).view] == ["hub"]
 
     def test_own_address_not_a_contact(self):
         engine = make_engine()
@@ -123,7 +125,7 @@ class TestPopulation:
         # fast engine replicates that exactly.
         engine = make_engine(c=2)
         address = engine.add_node(contacts=["b", "b", "d"])
-        assert engine.node(address).view.addresses() == ["b"]
+        assert [d.address for d in engine.node(address).view] == ["b"]
 
     def test_remove_node(self):
         engine = make_engine()
@@ -300,7 +302,7 @@ class TestIntrospection:
         nodes = engine.nodes()
         assert all(isinstance(n, FastNode) for n in nodes)
         assert [n.address for n in nodes] == ["a", "b"]
-        assert nodes[0].liveness("b")
+        assert [d.address for d in nodes[0].view] == ["b"]
 
     def test_graph_snapshot_integration(self):
         from repro.graph.snapshot import GraphSnapshot
@@ -313,38 +315,38 @@ class TestIntrospection:
         assert snapshot.edge_count > 0
 
 
+@pytest.fixture(params=sorted(ENGINES))
+def any_engine(request):
+    """Every registry engine at c = 2 (the node contract is shared)."""
+    engine = make_registry_engine(
+        ProtocolConfig.from_label("(rand,head,pushpull)", 2),
+        seed=0,
+        engine=request.param,
+    )
+    yield engine
+    getattr(engine, "close", lambda: None)()
+
+
 class TestViewProxy:
-    def test_iteration_and_entries(self):
-        engine = make_engine()
-        engine.add_node("a", contacts=["b", "c"])
-        view = engine.node("a").view
-        assert len(view) == 2
-        assert [d.address for d in view] == ["b", "c"]
-        assert all(isinstance(d, NodeDescriptor) for d in view.entries)
-        assert "b" in view and "z" not in view
+    """The node contract, ``engine.node(a).view``, on every registry engine."""
 
-    def test_head_tail_and_descriptor_for(self):
-        engine = make_engine()
-        engine.add_node("a")
-        view = engine.node("a").view
-        view.replace([NodeDescriptor("x", 3), NodeDescriptor("y", 1)])
-        assert view.head().address == "y"
-        assert view.tail().address == "x"
-        assert view.descriptor_for("x").hop_count == 3
-        assert view.descriptor_for("nope") is None
+    def test_iteration(self, any_engine):
+        any_engine.add_node("a", contacts=["b", "c"])
+        view = any_engine.node("a").view
+        assert (len(view), view.capacity) == (2, 2)
+        assert all(isinstance(d, NodeDescriptor) for d in view)
+        assert [(d.address, d.hop_count) for d in view] == [("b", 0), ("c", 0)]
 
-    def test_replace_validates_capacity(self):
-        engine = make_engine(c=2)
-        engine.add_node("a")
+    def test_replace_validates_capacity(self, any_engine):
+        any_engine.add_node("a")
         with pytest.raises(ViewError):
-            engine.node("a").view.replace(
+            any_engine.node("a").view.replace(
                 [NodeDescriptor(i, 0) for i in range(3)]
             )
 
-    def test_replace_deduplicates_and_sorts(self):
-        engine = make_engine(c=4)
-        engine.add_node("a")
-        view = engine.node("a").view
+    def test_replace_deduplicates_and_sorts(self, any_engine):
+        any_engine.add_node("a")
+        view = any_engine.node("a").view
         view.replace(
             [
                 NodeDescriptor("x", 5),
@@ -357,24 +359,10 @@ class TestViewProxy:
             ("x", 2),
         ]
 
-    def test_remove_and_clear(self):
-        engine = make_engine()
-        engine.add_node("a", contacts=["b", "c"])
-        view = engine.node("a").view
-        assert view.remove("b")
-        assert not view.remove("b")
-        assert view.addresses() == ["c"]
-        view.clear()
-        assert len(view) == 0
-
-    def test_increase_hop_counts(self):
-        engine = make_engine()
-        engine.add_node("a", contacts=["b"])
-        view = engine.node("a").view
-        view.increase_hop_counts()
-        assert view.entries[0].hop_count == 1
-
-    def test_is_full(self):
-        engine = make_engine(c=2)
-        engine.add_node("a", contacts=["b", "c"])
-        assert engine.node("a").view.is_full()
+    def test_crashed_node_has_no_handle(self, any_engine):
+        any_engine.add_node("a")
+        any_engine.add_node("b", contacts=["a"])
+        any_engine.remove_node("a")
+        with pytest.raises(NodeNotFoundError):
+            any_engine.node("a")
+        assert [d.address for d in any_engine.node("b").view] == ["a"]
